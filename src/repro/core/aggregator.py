@@ -44,7 +44,7 @@ from repro.core.policies import (
     build_aggregation_policy,
     build_scoring_policy,
 )
-from repro.core.scorer import MultiKRUMScorer, Scorer
+from repro.core.scorer import Scorer
 from repro.core.timing import ClusterTimingModel, RoundTiming
 from repro.datasets.synthetic import Dataset
 from repro.fl.client import Client
@@ -391,9 +391,19 @@ class UnifyFLAggregator:
         )
         if not assigned:
             return timing
-        round_context: Optional[Dict[str, Weights]] = None
-        if isinstance(self.scorer, MultiKRUMScorer) or self.scorer.requires_full_round:
-            round_context = self._collect_round_weights()
+        # Round-wise scorers (Multi-KRUM, cosine) compare a model with every
+        # model of its own submission round.  The current round is fetched
+        # first: fetch order drives the weights-cache LRU, whose counters are
+        # part of the result.  A scorer back from churn also holds
+        # assignments from rounds it missed; those are fetched on first use.
+        round_contexts: Dict[int, Dict[str, Weights]] = {}
+        if self.scorer.requires_full_round:
+            records = self.chain.call(
+                "unifyfl", "getLatestModelsWithScores", {}, sender=self.address
+            )
+            submitted_in = {record["cid"]: record["round"] for record in records}
+            current_round = self.chain.call("unifyfl", "getCurrentRound")
+            round_contexts[current_round] = self._round_weights(records, current_round)
         scored = 0
         scored_cids: List[str] = []
         for cid in assigned:
@@ -402,8 +412,12 @@ class UnifyFLAggregator:
             except Exception:
                 continue
             scored_cids.append(cid)
-            if round_context is not None:
-                score = self.scorer.score(weights, context={"round_weights": round_context, "cid": cid})
+            if self.scorer.requires_full_round:
+                round_number = submitted_in[cid]
+                if round_number not in round_contexts:
+                    round_contexts[round_number] = self._round_weights(records, round_number)
+                context = {"round_weights": round_contexts[round_number], "cid": cid}
+                score = self.scorer.score(weights, context=context)
             else:
                 score = self.scorer.score(weights)
             self.chain.send(
@@ -433,18 +447,11 @@ class UnifyFLAggregator:
         self._scored_this_round = scored
         return timing
 
-    def _collect_round_weights(self) -> Dict[str, Weights]:
-        """All models of the current round, needed by round-wise scorers (MultiKRUM)."""
-        current_round = self.chain.call("unifyfl", "getCurrentRound")
-        records = self.chain.call(
-            "unifyfl",
-            "getLatestModelsWithScores",
-            {"max_rounds": 1},
-            sender=self.address,
-        )
+    def _round_weights(self, records: List[Dict], round_number: int) -> Dict[str, Weights]:
+        """The fetchable models among ``records`` submitted in ``round_number``."""
         round_weights: Dict[str, Weights] = {}
         for record in records:
-            if record["round"] != current_round:
+            if record["round"] != round_number:
                 continue
             try:
                 round_weights[record["cid"]] = self.fetch_weights(record["cid"])

@@ -1,9 +1,12 @@
 """Neural-network layers with explicit forward and backward passes.
 
 Every layer stores what it needs from the forward pass to compute gradients
-in ``backward``.  Parameters and their gradients are exposed through
-``parameters()`` / ``gradients()`` so the optimizers in :mod:`repro.ml.optim`
-and the weight exchange in :mod:`repro.fl` can treat all layers uniformly.
+in ``backward``: in training mode only, and only until that ``backward``
+runs.  An evaluation-mode forward leaves no cache behind, so evaluating many
+models does not keep their activations (or im2col matrices) alive.
+Parameters and their gradients are exposed through ``parameters()`` /
+``gradients()`` so the optimizers in :mod:`repro.ml.optim` and the weight
+exchange in :mod:`repro.fl` can treat all layers uniformly.
 
 The convolution and pooling layers use an im2col formulation, which keeps the
 implementation vectorised enough that the federated experiments (hundreds of
@@ -15,6 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
@@ -41,6 +45,10 @@ class Layer:
     def gradients(self) -> List[np.ndarray]:
         """Gradients aligned with :meth:`parameters` (may be empty)."""
         return []
+
+    def has_eval_state(self) -> bool:
+        """Whether evaluation reads state outside :meth:`parameters`."""
+        return False
 
     def set_parameters(self, params: List[np.ndarray]) -> None:
         """Replace the layer's parameters with copies of ``params``."""
@@ -88,7 +96,7 @@ class Dense(Layer):
             raise ValueError(
                 f"Dense expects input dim {self.weight.shape[0]}, got {x.shape[1]}"
             )
-        self._input = x
+        self._input = x if self.training else None
         return x @ self.weight + self.bias
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -96,6 +104,7 @@ class Dense(Layer):
             raise RuntimeError("backward called before forward")
         self.grad_weight = self._input.T @ grad_output
         self.grad_bias = grad_output.sum(axis=0)
+        self._input = None
         return grad_output @ self.weight.T
 
     def parameters(self) -> List[np.ndarray]:
@@ -112,13 +121,15 @@ class ReLU(Layer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return grad_output * self._mask
+        mask, self._mask = self._mask, None
+        return grad_output * mask
 
 
 class Softmax(Layer):
@@ -232,6 +243,9 @@ class BatchNorm1d(Layer):
     def parameters(self) -> List[np.ndarray]:
         return [self.gamma, self.beta]
 
+    def has_eval_state(self) -> bool:
+        return True  # the running statistics
+
     def gradients(self) -> List[np.ndarray]:
         return [self.grad_gamma, self.grad_beta]
 
@@ -239,19 +253,32 @@ class BatchNorm1d(Layer):
 def _im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Rearrange (N, C, H, W) image patches into columns for convolution."""
+    """Rearrange (N, C, H, W) image patches into columns for convolution.
+
+    The padded input is one zero buffer; every ``kernel x kernel`` window is
+    a strided view of it, so the patches cost a single gather copy.  The
+    layout of the result is part of its contract: a C-ordered copy for
+    ``N > 1``, and for ``N == 1`` a view with column-major strides over a
+    ``(N, C, k, k, H', W')`` buffer.  OpenBLAS picks its GEMM kernel by
+    layout, so a C-ordered ``N == 1`` matrix changes ``cols @ w.T`` in the
+    last bit, and with it seeded results.
+    """
     n, c, h, w = x.shape
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-    for i in range(kernel):
-        i_max = i + stride * out_h
-        for j in range(kernel):
-            j_max = j + stride * out_w
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
+    # (N, C, H', W', k, k): one window per output position, no copy yet.
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    if n == 1:
+        cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+        cols[...] = windows.transpose(0, 1, 4, 5, 2, 3)
+        cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+    else:
+        cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+        cols = cols.reshape(n * out_h * out_w, -1)
     return cols, out_h, out_w
 
 
@@ -320,13 +347,14 @@ class Conv2d(Layer):
         w_col = self.weight.reshape(self.weight.shape[0], -1)
         out = cols @ w_col.T + self.bias
         n = x.shape[0]
-        self._cache = (cols, x.shape, out_h, out_w)
+        self._cache = (cols, x.shape, out_h, out_w) if self.training else None
         return out.reshape(n, out_h, out_w, -1).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cols, input_shape, out_h, out_w = self._cache
+        self._cache = None
         n = input_shape[0]
         grad_cols = grad_output.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, -1)
         w_col = self.weight.reshape(self.weight.shape[0], -1)
@@ -358,7 +386,7 @@ class MaxPool2d(Layer):
             raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
         self.stride = stride or kernel_size
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray, Tuple[int, ...], int, int]] = None
+        self._cache: Optional[Tuple[np.ndarray, np.dtype, Tuple[int, ...], int, int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -373,19 +401,19 @@ class MaxPool2d(Layer):
         cols = cols.reshape(n * c * out_h * out_w, k * k)
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (argmax, cols, x.shape, out_h, out_w)
+        # Backward only needs where each maximum sat, not the patches.
+        self._cache = (argmax, cols.dtype, x.shape, out_h, out_w) if self.training else None
         return out.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        argmax, cols, input_shape, out_h, out_w = self._cache
+        argmax, dtype, input_shape, out_h, out_w = self._cache
+        self._cache = None
         n, c, h, w = input_shape
         k, s = self.kernel_size, self.stride
-        grad_cols = np.zeros_like(cols)
-        flat_grad = grad_output.reshape(-1)
-        grad_cols[np.arange(grad_cols.shape[0]), argmax] = flat_grad
-        grad_cols = grad_cols.reshape(n * c * out_h * out_w, 1 * k * k)
+        grad_cols = np.zeros((argmax.shape[0], k * k), dtype=dtype)
+        grad_cols[np.arange(grad_cols.shape[0]), argmax] = grad_output.reshape(-1)
         grad_input = _col2im(grad_cols, (n * c, 1, h, w), k, s, 0, out_h, out_w)
         return grad_input.reshape(n, c, h, w)
 
@@ -419,6 +447,9 @@ class Sequential(Layer):
         for layer in self.layers:
             grads.extend(layer.gradients())
         return grads
+
+    def has_eval_state(self) -> bool:
+        return any(layer.has_eval_state() for layer in self.layers)
 
     def set_parameters(self, params: List[np.ndarray]) -> None:
         offset = 0

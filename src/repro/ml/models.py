@@ -11,11 +11,23 @@ reproducing the federated *dynamics* the paper measures, so :class:`MiniVGG`
 keeps the VGG block structure (stacked 3x3 convolutions with max-pooling and a
 fully connected head) at a width that trains in seconds on a CPU.  The
 substitution is recorded in DESIGN.md.
+
+:meth:`Model.evaluate` is memoized by content.  Aggregators evaluate an
+unchanged global model round after round and every scorer evaluates the
+same peer models on its own test set, so a bounded LRU returns the
+``(loss, accuracy)`` computed the first time.  Its key is the model class
+and config, :func:`~repro.ml.serialization.weights_fingerprint` of the
+parameters and of ``x`` and ``y`` (plus their dtypes), the batch size and
+the loss type.  A forward pass is a pure function of that key, so the memo
+cannot change a result.  Networks that read other state at evaluation time
+(``BatchNorm1d`` running statistics), models without a config and losses
+carrying their own settings bypass it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +43,17 @@ from repro.ml.layers import (
 )
 from repro.ml.losses import CrossEntropyLoss, Loss
 from repro.ml.optim import Optimizer, SGD
+from repro.ml.serialization import weights_fingerprint
+
+#: evaluation key -> (loss, accuracy); bounded so a long run keeps only the
+#: recent models' results.
+_EVAL_MEMO_CAPACITY = 256
+_eval_memo: "OrderedDict[Hashable, Tuple[float, float]]" = OrderedDict()
+
+
+def clear_evaluation_memo() -> None:
+    """Drop every memoized evaluation (test isolation hook)."""
+    _eval_memo.clear()
 
 
 class Model:
@@ -126,6 +149,11 @@ class Model:
         if len(x) == 0:
             raise ValueError("cannot evaluate on an empty dataset")
         loss_fn = loss_fn or CrossEntropyLoss()
+        key = self._evaluation_key(x, y, batch_size, loss_fn)
+        cached = _eval_memo.get(key) if key is not None else None
+        if cached is not None:
+            _eval_memo.move_to_end(key)
+            return cached
         self.network.eval()
         total_loss = 0.0
         correct = 0
@@ -137,7 +165,31 @@ class Model:
             total_loss += loss * len(xb)
             correct += int((logits.argmax(axis=1) == yb).sum())
         self.network.train()
-        return total_loss / len(x), correct / len(x)
+        result = (total_loss / len(x), correct / len(x))
+        if key is not None:
+            _eval_memo[key] = result
+            if len(_eval_memo) > _EVAL_MEMO_CAPACITY:
+                _eval_memo.popitem(last=False)
+        return result
+
+    def _evaluation_key(
+        self, x: np.ndarray, y: np.ndarray, batch_size: int, loss_fn: Loss
+    ) -> Optional[Hashable]:
+        """The memo key of one :meth:`evaluate` call, or None to bypass the memo."""
+        config = getattr(self, "_config", None)
+        if config is None or self.network.has_eval_state() or vars(loss_fn):
+            return None
+        return (
+            type(self),
+            tuple(sorted(config.items())),
+            weights_fingerprint(self.network.parameters()),
+            # The fingerprint hashes a float64 copy of exotic dtypes.
+            x.dtype,
+            y.dtype,
+            weights_fingerprint([x, y]),
+            batch_size,
+            type(loss_fn),
+        )
 
     def clone(self, rng: Optional[np.random.Generator] = None) -> "Model":
         """Create a structurally identical model carrying a copy of the weights."""

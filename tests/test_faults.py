@@ -21,7 +21,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import ExperimentConfig, cifar10_workload, edge_cluster_configs
+from repro.core.config import (
+    ExperimentConfig,
+    cifar10_workload,
+    edge_cluster_configs,
+    gpu_cluster_configs,
+)
 from repro.core.reporting import save_results_csv
 from repro.core.results import format_comm_table
 from repro.core.runner import ExperimentRunner
@@ -486,6 +491,48 @@ class TestFaultConfigValidation:
 
 # --------------------------------------------------------------------------- end to end
 class TestFaultExperiments:
+    @pytest.mark.parametrize("scoring", ["multikrum", "cosine"])
+    def test_round_wise_scoring_scores_every_assignment_under_churn(self, scoring):
+        """A scorer back from churn still holds assignments from the rounds it
+        missed.  Each is scored against the models of its own submission
+        round, so every assigned model receives a score."""
+        runner = ExperimentRunner(
+            ExperimentConfig(
+                name=f"churn-{scoring}",
+                workload=cifar10_workload(rounds=3, samples_per_class=8, image_size=8),
+                clusters=gpu_cluster_configs(num_clusters=3, num_clients=2),
+                mode="sync",
+                rounds=3,
+                seed=0,
+                scoring_algorithm=scoring,
+                churn_rate=0.3,
+            )
+        )
+        runner.build()
+        contract = runner.chain.runtime.get("unifyfl")
+        stale = []
+
+        def checked(aggregator):
+            score_assigned = aggregator.score_assigned
+
+            def wrapper(*args, **kwargs):
+                current = runner.chain.call("unifyfl", "getCurrentRound")
+                stale.extend(
+                    cid
+                    for cid in contract.pending_assignments.get(aggregator.address, [])
+                    if contract.submissions[cid].round_number < current
+                )
+                timing = score_assigned(*args, **kwargs)
+                assert contract.pending_assignments.get(aggregator.address, []) == []
+                return timing
+
+            return wrapper
+
+        for aggregator in runner.aggregators:
+            aggregator.score_assigned = checked(aggregator)
+        runner.run()
+        assert stale, "seed 0 at churn 0.3 must leave a scorer with an earlier round's model"
+
     def test_churn_marks_offline_rounds_in_both_paths(self):
         for event_streams in (True, False):
             runner = ExperimentRunner(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.ml import layers
 from repro.ml.layers import (
     BatchNorm1d,
     Conv2d,
@@ -16,6 +19,8 @@ from repro.ml.layers import (
     Sequential,
     Softmax,
 )
+from repro.ml.models import SimpleCNN, clear_evaluation_memo
+from repro.ml.optim import SGD
 
 
 def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -342,3 +347,126 @@ class TestSequential:
         grad = net.backward(np.ones_like(out))
         assert grad.shape == x.shape
         assert len(net.gradients()) == len(net.parameters()) == 4
+
+
+def reference_im2col(x: np.ndarray, kernel: int, stride: int, padding: int):
+    """The original k x k slice-loop im2col, kept as the layout oracle."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+    for i in range(kernel):
+        i_max = i + stride * out_h
+        for j in range(kernel):
+            j_max = j + stride * out_w
+            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
+    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * out_h * out_w, -1)
+    return cols, out_h, out_w
+
+
+def assert_same_layout(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    assert actual.flags.c_contiguous == expected.flags.c_contiguous
+    assert actual.flags.f_contiguous == expected.flags.f_contiguous
+    assert np.array_equal(actual, expected)
+
+
+#: the (C, H, W) inputs of SimpleCNN's two convolutions at the experiments'
+#: 8x8 images with the default (6, 16) channels.
+SIMPLE_CNN_CONV_INPUTS = ((3, 8, 8), (6, 4, 4))
+
+
+class TestIm2colOracle:
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 256])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("chw", SIMPLE_CNN_CONV_INPUTS)
+    def test_matches_reference_values_and_layout(self, n, stride, padding, chw):
+        x = np.random.default_rng(n).normal(size=(n, *chw))
+        cols, out_h, out_w = layers._im2col(x, 3, stride, padding)
+        ref_cols, ref_h, ref_w = reference_im2col(x, 3, stride, padding)
+        assert (out_h, out_w) == (ref_h, ref_w)
+        assert_same_layout(cols, ref_cols)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 256])
+    def test_matches_reference_for_pooling_windows(self, n):
+        # MaxPool2d runs im2col over (N*C, 1, H, W) with a 2x2, stride-2 window.
+        x = np.random.default_rng(n).normal(size=(n, 1, 8, 8))
+        assert_same_layout(layers._im2col(x, 2, 2, 0)[0], reference_im2col(x, 2, 2, 0)[0])
+
+    def test_conv_forward_and_backward_bitwise_at_batch_one(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(1, 3, 8, 8))
+        grad = rng.normal(size=(1, 6, 8, 8))
+
+        def run():
+            layer = Conv2d(3, 6, kernel_size=3, padding=1, rng=np.random.default_rng(0))
+            out = layer.forward(x)
+            return out, layer.backward(grad), layer.grad_weight, layer.grad_bias
+
+        fast = run()
+        monkeypatch.setattr(layers, "_im2col", reference_im2col)
+        reference = run()
+        for actual, expected in zip(fast, reference):
+            assert actual.shape == expected.shape
+            assert (actual == expected).all()
+
+
+def _spatial_layers(model):
+    return [layer for layer in model.network.layers if isinstance(layer, (Conv2d, MaxPool2d))]
+
+
+class TestCacheLifetime:
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        clear_evaluation_memo()
+        yield
+        clear_evaluation_memo()
+
+    def test_evaluate_and_predict_leave_no_cache(self, tiny_image_dataset, small_cnn):
+        train, test = tiny_image_dataset
+        small_cnn.train_batch(train.x[:8], train.y[:8], SGD(learning_rate=0.01))
+        small_cnn.evaluate(test.x, test.y)
+        assert all(layer._cache is None for layer in _spatial_layers(small_cnn))
+        small_cnn.predict(test.x)
+        assert all(layer._cache is None for layer in _spatial_layers(small_cnn))
+
+    def test_train_batch_releases_caches(self, tiny_image_dataset, small_cnn):
+        train, _ = tiny_image_dataset
+        small_cnn.train_batch(train.x[:8], train.y[:8], SGD(learning_rate=0.01))
+        assert all(layer._cache is None for layer in _spatial_layers(small_cnn))
+
+    @pytest.mark.parametrize(
+        "layer",
+        [Conv2d(2, 3, kernel_size=3, padding=1), MaxPool2d(2)],
+        ids=["conv", "pool"],
+    )
+    def test_backward_after_eval_forward_raises(self, layer):
+        x = np.random.default_rng(0).normal(size=(2, 2, 4, 4))
+        layer.train()
+        layer.forward(x)  # a stale training cache must not survive an eval forward
+        layer.eval()
+        out = layer.forward(x)
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(out))
+
+    def test_retained_memory_does_not_grow_with_models_evaluated(self, tiny_image_dataset):
+        _, test = tiny_image_dataset
+        models = [SimpleCNN(image_size=8, seed=seed) for seed in range(32)]
+        tracemalloc.start()
+        try:
+            for model in models[:4]:  # warm up numpy's and hashlib's own caches
+                model.evaluate(test.x, test.y)
+            warm, _ = tracemalloc.get_traced_memory()
+            for model in models[4:]:
+                model.evaluate(test.x, test.y)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Keeping the eval-mode im2col matrices would retain ~1.1 MB per
+        # model here; what is left is a memo key of a few hundred bytes.
+        assert (after - warm) / len(models[4:]) < 8 * 1024

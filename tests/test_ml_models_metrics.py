@@ -5,8 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ml import models
+from repro.ml.layers import BatchNorm1d, Dense, ReLU, Sequential
+from repro.ml.losses import CrossEntropyLoss
 from repro.ml.metrics import accuracy_score, evaluate_model, top_k_accuracy
-from repro.ml.models import MLP, MiniVGG, SimpleCNN, available_models, build_model, count_parameters
+from repro.ml.models import (
+    MLP,
+    MiniVGG,
+    Model,
+    SimpleCNN,
+    available_models,
+    build_model,
+    clear_evaluation_memo,
+    count_parameters,
+)
 from repro.ml.optim import SGD
 
 
@@ -103,6 +115,130 @@ class TestCNNModels:
         train, _ = tiny_image_dataset
         logits = small_cnn.predict(train.x[:6])
         assert np.array_equal(small_cnn.predict_classes(train.x[:6]), logits.argmax(axis=1))
+
+
+def count_forwards(model: Model) -> list:
+    """Record every batch the model's network runs forward (one entry each)."""
+    calls: list = []
+    forward = model.network.forward
+
+    def counting(x):
+        calls.append(len(x))
+        return forward(x)
+
+    model.network.forward = counting
+    return calls
+
+
+class _OtherCrossEntropy(CrossEntropyLoss):
+    """Same arithmetic as its parent; only its type differs."""
+
+
+class _OtherMLP(MLP):
+    """Same network and config as MLP; only its class differs."""
+
+
+class _NormMLP(Model):
+    """A configured model whose evaluation reads BatchNorm running statistics."""
+
+    def __init__(self):
+        self._config = dict(width=6)
+        rng = np.random.default_rng(0)
+        network = Sequential([Dense(10, 6, rng=rng), BatchNorm1d(6), ReLU(), Dense(6, 3, rng=rng)])
+        super().__init__(network, 3, (10,))
+
+
+class TestEvaluationMemo:
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        clear_evaluation_memo()
+        yield
+        clear_evaluation_memo()
+
+    @pytest.fixture()
+    def data(self, tabular_dataset):
+        return tabular_dataset.x[:64], tabular_dataset.y[:64]
+
+    def test_hit_returns_the_uncached_result(self, data):
+        x, y = data
+        model = MLP(input_dim=10, hidden_dims=(16,), num_classes=3, seed=0)
+        first = model.evaluate(x, y)
+        calls = count_forwards(model)
+        assert model.evaluate(x, y) == first
+        assert calls == []
+        clear_evaluation_memo()
+        assert model.evaluate(x, y) == first
+        assert calls == [64]
+
+    @pytest.mark.parametrize(
+        "change",
+        ["weights", "x", "y", "batch_size", "loss", "model_class"],
+    )
+    def test_each_key_part_causes_a_miss(self, data, change):
+        x, y = data
+        model = MLP(input_dim=10, hidden_dims=(16,), num_classes=3, seed=0)
+        model.evaluate(x, y)
+        batch_size, loss_fn = 256, None
+        if change == "weights":
+            weights = model.get_weights()
+            weights[0][0, 0] += 1e-3
+            model.set_weights(weights)
+        elif change == "x":
+            x = x.copy()
+            x[0, 0] += 1e-3
+        elif change == "y":
+            y = (y + 1) % 3
+        elif change == "batch_size":
+            batch_size = 32
+        elif change == "loss":
+            loss_fn = _OtherCrossEntropy()
+        else:
+            other = _OtherMLP(input_dim=10, hidden_dims=(16,), num_classes=3)
+            other.set_weights(model.get_weights())
+            model = other
+        calls = count_forwards(model)
+        result = model.evaluate(x, y, batch_size=batch_size, loss_fn=loss_fn)
+        assert calls, f"changing {change} must miss the memo"
+        clear_evaluation_memo()
+        assert model.evaluate(x, y, batch_size=batch_size, loss_fn=loss_fn) == result
+
+    def test_dtype_is_part_of_the_key(self, data):
+        x, y = data
+        model = MLP(input_dim=10, hidden_dims=(16,), num_classes=3, seed=0)
+        model.evaluate(x, y)
+        calls = count_forwards(model)
+        model.evaluate(x, y.astype(np.int32))
+        assert calls
+
+    def test_capacity_is_bounded_lru(self, data, monkeypatch):
+        monkeypatch.setattr(models, "_EVAL_MEMO_CAPACITY", 3)
+        x, y = data
+        model = MLP(input_dim=10, hidden_dims=(16,), num_classes=3, seed=0)
+        for batch_size in (8, 16, 32, 64):
+            model.evaluate(x, y, batch_size=batch_size)
+        assert len(models._eval_memo) == 3
+        calls = count_forwards(model)
+        model.evaluate(x, y, batch_size=64)  # newest: still cached
+        assert calls == []
+        model.evaluate(x, y, batch_size=8)  # oldest: evicted
+        assert calls == [8] * 8
+
+    def test_batchnorm_network_bypasses_the_memo(self, data):
+        x, y = data
+        model = _NormMLP()
+        first = model.evaluate(x, y)
+        assert len(models._eval_memo) == 0
+        model.network.layers[1].running_mean += 0.5
+        calls = count_forwards(model)
+        second = model.evaluate(x, y)
+        assert calls == [64]
+        assert second != first
+
+    def test_model_without_config_bypasses_the_memo(self, data):
+        x, y = data
+        model = Model(Sequential([Dense(10, 3, rng=np.random.default_rng(0))]), 3, (10,))
+        model.evaluate(x, y)
+        assert len(models._eval_memo) == 0
 
 
 class TestRegistry:
