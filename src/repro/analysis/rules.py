@@ -451,7 +451,7 @@ def _check_mutable_defaults(ctx: LintContext) -> List[Finding]:
 # ----------------------------------------------------------------- UNIT rules
 #: suffix → dimension, longest suffix first so ``_bytes_per_s`` wins over
 #: ``_s`` and ``_mbytes_per_s`` over ``_bytes_per_s``.  ``_mbps`` is the
-#: deprecated alias spelling of megabytes/s (UNIT003 bans reading it; the
+#: removed alias spelling of megabytes/s (UNIT003 bans reading it; the
 #: dimension is still tracked so mixed arithmetic is caught either way).
 UNIT_SUFFIXES: Tuple[Tuple[str, str], ...] = (
     ("_mbytes_per_s", "megabytes/s"),
@@ -572,9 +572,8 @@ def _check_deprecated_alias(ctx: LintContext) -> List[Finding]:
     findings: List[Finding] = []
     for node in ast.walk(ctx.tree):
         if isinstance(node, (ast.Name, ast.Attribute)):
-            # Only *reads* are uses; the Store contexts are the shim
-            # definitions themselves (the deprecated dataclass field, the
-            # alias property) which have to keep the old spelling.
+            # Only *reads* are uses; Store contexts (a local binding, a
+            # field declaration) are not flagged.
             if not isinstance(getattr(node, "ctx", None), ast.Load):
                 continue
             name = node.id if isinstance(node, ast.Name) else node.attr
@@ -583,7 +582,7 @@ def _check_deprecated_alias(ctx: LintContext) -> List[Finding]:
                     ctx.finding(
                         node,
                         "UNIT003",
-                        f"'{name}' is a deprecated megabits-looking alias (the "
+                        f"'{name}' is a removed megabits-looking alias (the "
                         "unit is megabytes/s); read the *_mbytes_per_s field "
                         "instead",
                     )
@@ -596,7 +595,7 @@ def _check_deprecated_alias(ctx: LintContext) -> List[Finding]:
                             keyword.value,
                             "UNIT003",
                             f"keyword '{keyword.arg}' passes through the "
-                            "deprecated alias; use the *_mbytes_per_s "
+                            "removed alias; use the *_mbytes_per_s "
                             "parameter instead",
                         )
                     )
@@ -823,19 +822,18 @@ register_rule(
         code="UNIT003",
         name="deprecated-mbps-alias",
         summary=(
-            "reads of the deprecated *_mbps aliases (bandwidth_mbps, "
+            "reads of the removed *_mbps aliases (bandwidth_mbps, "
             "link_bandwidth_mbps) inside src/repro"
         ),
         check=_check_deprecated_alias,
         explain=(
-            "The *_mbps names always held mega**bytes**/s — the PR 3 units "
-            "trap. They survive only as deprecated read aliases for "
-            "downstream users; first-party code must not read or pass them, "
-            "or the DeprecationWarning churn hides real warnings and the "
-            "trap stays live.\n\n"
-            "Fix: read the *_mbytes_per_s field. The alias shims themselves "
-            "carry inline '# detlint: ignore[UNIT003]' markers — the only "
-            "two justified reads in the tree.\n\n"
+            "The *_mbps names always held mega**bytes**/s — the old units "
+            "trap. The deprecated alias shims (ExperimentConfig."
+            "link_bandwidth_mbps, HardwareProfile.bandwidth_mbps) are gone; "
+            "this rule keeps the spelling from coming back, since any read "
+            "or keyword pass-through of a *_mbps name reintroduces the "
+            "megabits-looking trap.\n\n"
+            "Fix: read the *_mbytes_per_s field.\n\n"
             "    bw = profile.bandwidth_mbps           # UNIT003\n"
             "    bw = profile.bandwidth_mbytes_per_s   # clean"
         ),

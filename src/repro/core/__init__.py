@@ -55,14 +55,7 @@ from repro.core.multimodel import (
     MultiModelParticipant,
     MultiModelRoundRecord,
 )
-from repro.core.orchestrator import (
-    AsyncOrchestrator,
-    GossipOrchestrator,
-    HierarchicalOrchestrator,
-    OrchestrationResult,
-    SemiSyncOrchestrator,
-    SyncOrchestrator,
-)
+from repro.core.orchestrator import OrchestrationResult, Orchestrator
 from repro.core.policies import (
     AboveAverage,
     AboveMedian,
@@ -142,12 +135,8 @@ __all__ = [
     "MultiModelCollaboration",
     "MultiModelParticipant",
     "MultiModelRoundRecord",
-    "AsyncOrchestrator",
-    "GossipOrchestrator",
-    "HierarchicalOrchestrator",
     "OrchestrationResult",
-    "SemiSyncOrchestrator",
-    "SyncOrchestrator",
+    "Orchestrator",
     "AboveAverage",
     "AboveMedian",
     "AboveSelf",

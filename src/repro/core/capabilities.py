@@ -28,10 +28,10 @@ class FrameworkCapabilities:
 
 def unifyfl_capabilities() -> FrameworkCapabilities:
     """UnifyFL's row, derived from the implemented components."""
-    from repro.core.orchestrator import AsyncOrchestrator, SyncOrchestrator
     from repro.core.policies import available_aggregation_policies, available_scoring_policies
+    from repro.sched.policies import AsyncRoundPolicy, SyncRoundPolicy
 
-    modes = sorted({SyncOrchestrator.mode, AsyncOrchestrator.mode})
+    modes = sorted({SyncRoundPolicy.mode, AsyncRoundPolicy.mode})
     flexible = len(available_aggregation_policies()) > 1 and len(available_scoring_policies()) > 1
     return FrameworkCapabilities(
         name="UnifyFL",

@@ -1,33 +1,11 @@
 """Orchestration of a UnifyFL federation (Sections 3.2 / 3.3).
 
-The orchestrator in UnifyFL is logically the smart contract; these classes
-drive the protocol steps against the contract and manage the simulated time
-of every cluster.  Since the discrete-event refactor they are thin facades:
-each one owns a :class:`~repro.sched.kernel.SimulationKernel` and installs a
-*round policy* (:mod:`repro.sched.policies`) that expresses its mode as an
-event stream:
-
-* :class:`SyncOrchestrator` — all clusters move through the training and
-  scoring phases together.  Each phase has a fixed duration (provisioned from
-  the timing model, or supplied explicitly); clusters that finish early idle
-  until the phase window closes, and a cluster whose work exceeds the window
-  *straggles*: its model is only submitted in the next round.
-* :class:`AsyncOrchestrator` — clusters run independently.  Each cluster is
-  an event stream keyed by its simulated clock; the heap always dispatches
-  the earliest one (O(log n), replacing the old per-step O(n) scan).  When a
-  model CID is submitted the contract immediately assigns scorers, and
-  scorers handle their queue the next time they are idle.
-* :class:`SemiSyncOrchestrator` — bounded-staleness buffered-async
-  (FedBuff-style): clusters free-run like Async, but a logical round only
-  closes once ``quorum_k`` clusters have submitted or ``max_staleness``
-  simulated seconds elapse, and a cluster that already fed the open round
-  waits for the close before training again.
-* :class:`HierarchicalOrchestrator` — clusters grouped by topology site run
-  cheap LAN-priced local aggregation rounds; one rotating leader per site
-  submits over WAN/chain per global round, under a per-cluster round budget.
-* :class:`GossipOrchestrator` — barrier-free epidemic rounds: each cluster
-  pulls ``gossip_fanout`` deterministic seeded peers' published models,
-  merges locally, trains and re-publishes.
+The orchestrator in UnifyFL is logically the smart contract; each mode is
+one protocol against it.  :class:`Orchestrator` drives any *round policy*
+(:mod:`repro.sched.policies`) on a
+:class:`~repro.sched.kernel.SimulationKernel` and manages the simulated time
+of every cluster; the policy expresses its mode as an event stream (sync,
+async, semi-sync, hierarchical and gossip are built in).
 
 Every orchestration mode registers itself with the round-policy registry
 (:mod:`repro.sched.registry`) at the bottom of this module; the runner, the
@@ -38,7 +16,7 @@ contract's behaviour profile are all derived from those registrations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.runner import ClientPopulation
@@ -49,9 +27,10 @@ from repro.core.aggregator import AggregatorRoundRecord, UnifyFLAggregator
 from repro.core.timing import ClusterTimingModel
 from repro.sched.actors import CommFabric
 from repro.sched.kernel import SimulationKernel
-from repro.core.config import ExperimentConfig, majority_quorum, validate_semi_params
+from repro.core.config import ExperimentConfig
 from repro.sched.policies import (
     AsyncRoundPolicy,
+    FixedCohort,
     GossipRoundPolicy,
     HierarchicalRoundPolicy,
     OrchestrationContext,
@@ -61,7 +40,6 @@ from repro.sched.policies import (
 )
 from repro.sched.registry import (
     ContractProfile,
-    PolicyBuildContext,
     PolicySpec,
     register_policy,
 )
@@ -85,17 +63,26 @@ class OrchestrationResult:
     extras: Dict[str, object] = field(default_factory=dict)
 
 
-class _BaseOrchestrator:
-    """Shared plumbing: validation, registration, kernel driving, results."""
+class Orchestrator:
+    """Drives one :class:`~repro.sched.policies.RoundPolicy` over a federation.
 
-    mode = "base"
+    Owns the contract registration, a fresh
+    :class:`~repro.sched.kernel.SimulationKernel` per run, the shared idle
+    and straggler accumulators, and the result document.  ``policy`` builds
+    the mode's round policy from the run's
+    :class:`~repro.sched.policies.OrchestrationContext` — a policy class
+    itself, a ``functools.partial`` of one, or a registered spec's factory.
+    A dense federation runs as the identity cohort (every cluster, every
+    round); a sampled one passes its lazy ``population``.
+    """
 
     def __init__(
         self,
         chain: Blockchain,
-        driver_account: Account,
+        driver: Account,
         aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
+        timing: ClusterTimingModel,
+        policy: Callable[[OrchestrationContext], RoundPolicy],
         comm: Optional[CommFabric] = None,
         population: Optional["ClientPopulation"] = None,
     ):
@@ -105,19 +92,22 @@ class _BaseOrchestrator:
         if len(set(names)) != len(names):
             raise ValueError("aggregator names must be unique")
         self.chain = chain
-        self.driver = driver_account
+        self.driver = driver
         #: sampled federations keep the *live* list the population appends
         #: to, so clusters that materialise mid-run show up in the results;
-        #: the classic shape copies, as the list is fixed for the whole run.
-        self.population = population
+        #: the dense shape copies, as the list is fixed for the whole run.
         self.aggregators = aggregators if population is not None else list(aggregators)
-        self.timing = timing_model
+        self.cohort = population if population is not None else FixedCohort(self.aggregators)
+        self.timing = timing
+        self.build_policy = policy
         #: event-stream communication fabric shared with the aggregators, or
         #: ``None`` for the constant-cost timing path.
         self.comm = comm
         self._idle_totals: Dict[str, float] = {a.name: 0.0 for a in aggregators}
         self._straggles: Dict[str, int] = {a.name: 0 for a in aggregators}
+        #: the kernel and round policy of the latest :meth:`run`.
         self.kernel: Optional[SimulationKernel] = None
+        self.policy: Optional[RoundPolicy] = None
         #: optional simulation sanitizer, installed on every kernel this
         #: orchestrator creates (set by the runner before :meth:`run`).
         self.sanitizer = None
@@ -130,37 +120,30 @@ class _BaseOrchestrator:
                 aggregator.register(mine=False)
         self.chain.mine_until_empty()
 
-    def _context(self, num_rounds: int) -> OrchestrationContext:
-        return OrchestrationContext(
+    def run(self, num_rounds: int) -> OrchestrationResult:
+        """Drive the federation until every cluster completed ``num_rounds``."""
+        if num_rounds <= 0:
+            raise ValueError("num_rounds must be positive")
+        # The policy validates its parameters here, before anything is sent.
+        policy = self.build_policy(OrchestrationContext(
             chain=self.chain,
             driver=self.driver,
             aggregators=self.aggregators,
             timing=self.timing,
             num_rounds=num_rounds,
+            cohort=self.cohort,
             idle_totals=self._idle_totals,
             straggles=self._straggles,
             comm=self.comm,
-            population=self.population,
-        )
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        raise NotImplementedError
-
-    def run(self, num_rounds: int) -> OrchestrationResult:
-        """Drive the federation until every cluster completed ``num_rounds``."""
-        if num_rounds <= 0:
-            raise ValueError("num_rounds must be positive")
+        ))
+        self.policy = policy
         self.register_all()
         self.kernel = SimulationKernel()
         self.kernel.sanitizer = self.sanitizer
-        policy = self._build_policy(self._context(num_rounds))
         policy.install(self.kernel)
         self.kernel.run()
         policy.finalize()
-        return self._result(num_rounds, policy)
-
-    def _result(self, rounds: int, policy: Optional[RoundPolicy] = None) -> OrchestrationResult:
-        extras = dict(policy.extras()) if policy is not None else {}
+        extras = dict(policy.extras())
         # Memory behaviour of the per-aggregator model caches: hit rate says
         # how much IPFS traffic the LRU absorbed, evictions say whether the
         # working set outgrew its bound.
@@ -169,167 +152,14 @@ class _BaseOrchestrator:
             a.weights_cache_evictions for a in self.aggregators
         )
         return OrchestrationResult(
-            mode=self.mode,
-            rounds_completed=rounds,
+            mode=policy.mode,
+            rounds_completed=num_rounds,
             histories={a.name: list(a.history) for a in self.aggregators},
             total_times={a.name: a.total_time() for a in self.aggregators},
             idle_times=dict(self._idle_totals),
             straggler_counts=dict(self._straggles),
             extras=extras,
         )
-
-
-class SyncOrchestrator(_BaseOrchestrator):
-    """Lock-step orchestration with fixed phase windows."""
-
-    mode = "sync"
-
-    def __init__(
-        self,
-        chain: Blockchain,
-        driver_account: Account,
-        aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
-        training_window: Optional[float] = None,
-        scoring_window: Optional[float] = None,
-        scoring_algorithm: str = "accuracy",
-        comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
-    ):
-        super().__init__(
-            chain, driver_account, aggregators, timing_model, comm=comm, population=population
-        )
-        clusters = [a.config for a in aggregators]
-        # ``is not None`` rather than truthiness: an explicit window of 0.0 is
-        # a (degenerate but meaningful) operator choice, not "use the default".
-        if training_window is not None:
-            self.training_window = training_window
-        else:
-            self.training_window = timing_model.expected_training_window(clusters)
-        if scoring_window is not None:
-            self.scoring_window = scoring_window
-        else:
-            self.scoring_window = timing_model.expected_scoring_window(
-                clusters, algorithm=scoring_algorithm
-            )
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return SyncRoundPolicy(
-            ctx, training_window=self.training_window, scoring_window=self.scoring_window
-        )
-
-
-class AsyncOrchestrator(_BaseOrchestrator):
-    """Event-driven orchestration where every cluster proceeds at its own pace."""
-
-    mode = "async"
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return AsyncRoundPolicy(ctx)
-
-
-class SemiSyncOrchestrator(_BaseOrchestrator):
-    """Quorum/staleness-bounded buffered-async orchestration (FedBuff-style)."""
-
-    mode = "semi"
-
-    def __init__(
-        self,
-        chain: Blockchain,
-        driver_account: Account,
-        aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
-        quorum_k: Optional[int] = None,
-        max_staleness: Optional[float] = None,
-        comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
-    ):
-        super().__init__(
-            chain, driver_account, aggregators, timing_model, comm=comm, population=population
-        )
-        clusters = [a.config for a in aggregators]
-        # Default quorum: a majority of clusters, mirroring the scorer-majority
-        # rule of the contract.  Default staleness bound: one provisioned sync
-        # training window — the round never lags a full lock-step phase behind.
-        self.quorum_k = quorum_k if quorum_k is not None else majority_quorum(len(clusters))
-        if max_staleness is not None:
-            self.max_staleness = max_staleness
-        else:
-            self.max_staleness = timing_model.expected_training_window(clusters)
-        # Fail fast at construction; the policy re-runs the same shared check.
-        validate_semi_params(self.quorum_k, self.max_staleness, len(clusters))
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return SemiSyncRoundPolicy(
-            ctx, quorum_k=self.quorum_k, max_staleness=self.max_staleness
-        )
-
-
-class HierarchicalOrchestrator(_BaseOrchestrator):
-    """Two-tier orchestration: local site rounds under a thin global tier."""
-
-    mode = "hierarchical"
-
-    def __init__(
-        self,
-        chain: Blockchain,
-        driver_account: Account,
-        aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
-        num_sites: int = 1,
-        local_rounds_per_global: int = 2,
-        round_budget: Optional[int] = None,
-        comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
-    ):
-        super().__init__(
-            chain, driver_account, aggregators, timing_model, comm=comm, population=population
-        )
-        if num_sites < 1:
-            raise ValueError("num_sites must be at least 1")
-        if local_rounds_per_global < 1:
-            raise ValueError("local_rounds_per_global must be at least 1")
-        if round_budget is not None and round_budget < 1:
-            raise ValueError("round_budget must be at least 1 when set")
-        self.num_sites = num_sites
-        self.local_rounds_per_global = local_rounds_per_global
-        self.round_budget = round_budget
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return HierarchicalRoundPolicy(
-            ctx,
-            num_sites=self.num_sites,
-            local_rounds_per_global=self.local_rounds_per_global,
-            round_budget=self.round_budget,
-        )
-
-
-class GossipOrchestrator(_BaseOrchestrator):
-    """Barrier-free epidemic orchestration with a deterministic seeded fanout."""
-
-    mode = "gossip"
-
-    def __init__(
-        self,
-        chain: Blockchain,
-        driver_account: Account,
-        aggregators: Sequence[UnifyFLAggregator],
-        timing_model: ClusterTimingModel,
-        fanout: int = 2,
-        seed: int = 0,
-        comm: Optional[CommFabric] = None,
-        population: Optional["ClientPopulation"] = None,
-    ):
-        super().__init__(
-            chain, driver_account, aggregators, timing_model, comm=comm, population=population
-        )
-        if fanout < 0:
-            raise ValueError("gossip fanout must be non-negative")
-        self.fanout = fanout
-        self.seed = seed
-
-    def _build_policy(self, ctx: OrchestrationContext) -> RoundPolicy:
-        return GossipRoundPolicy(ctx, fanout=self.fanout, seed=self.seed)
 
 
 # --------------------------------------------------------------------------
@@ -347,77 +177,36 @@ def _reject_similarity_scoring(config: ExperimentConfig) -> None:
         )
 
 
-def _sync_factory(build: PolicyBuildContext) -> SyncOrchestrator:
-    config = build.config
-    return SyncOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        training_window=config.phase_duration if config else None,
-        scoring_window=config.phase_duration if config else None,
-        scoring_algorithm=config.scoring_algorithm if config else "accuracy",
-        comm=build.comm,
-        population=build.population,
+def _sync_factory(ctx: OrchestrationContext, config: ExperimentConfig) -> RoundPolicy:
+    return SyncRoundPolicy(
+        ctx,
+        training_window=config.phase_duration,
+        scoring_window=config.phase_duration,
+        scoring_algorithm=config.scoring_algorithm,
     )
 
 
-def _async_factory(build: PolicyBuildContext) -> AsyncOrchestrator:
-    return AsyncOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        comm=build.comm,
-        population=build.population,
+def _semi_factory(ctx: OrchestrationContext, config: ExperimentConfig) -> RoundPolicy:
+    return SemiSyncRoundPolicy(
+        ctx, quorum_k=config.semi_quorum_k, max_staleness=config.max_staleness
     )
 
 
-def _semi_factory(build: PolicyBuildContext) -> SemiSyncOrchestrator:
-    config = build.config
-    return SemiSyncOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        quorum_k=config.semi_quorum_k if config else None,
-        max_staleness=config.max_staleness if config else None,
-        comm=build.comm,
-        population=build.population,
-    )
-
-
-def _hierarchical_factory(build: PolicyBuildContext) -> HierarchicalOrchestrator:
-    config = build.config
+def _hierarchical_factory(ctx: OrchestrationContext, config: ExperimentConfig) -> RoundPolicy:
     # Site grouping mirrors the event-stream fabric's round-robin assignment
     # of clusters to storage replicas, so a "group" is exactly the set of
     # clusters sharing a storage site (one group when replicas are off); the
     # policy clamps the count to the federation size.
-    return HierarchicalOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        num_sites=config.storage_replicas if config else 1,
-        local_rounds_per_global=config.local_rounds_per_global if config else 2,
-        round_budget=config.round_budget if config else None,
-        comm=build.comm,
-        population=build.population,
+    return HierarchicalRoundPolicy(
+        ctx,
+        num_sites=config.storage_replicas,
+        local_rounds_per_global=config.local_rounds_per_global,
+        round_budget=config.round_budget,
     )
 
 
-def _gossip_factory(build: PolicyBuildContext) -> GossipOrchestrator:
-    config = build.config
-    return GossipOrchestrator(
-        build.chain,
-        build.driver,
-        build.aggregators,
-        build.timing,
-        fanout=config.gossip_fanout if config else 2,
-        seed=config.seed if config else 0,
-        comm=build.comm,
-        population=build.population,
-    )
+def _gossip_factory(ctx: OrchestrationContext, config: ExperimentConfig) -> RoundPolicy:
+    return GossipRoundPolicy(ctx, fanout=config.gossip_fanout, seed=config.seed)
 
 
 register_policy(PolicySpec(
@@ -428,7 +217,7 @@ register_policy(PolicySpec(
 ))
 register_policy(PolicySpec(
     name="async",
-    factory=_async_factory,
+    factory=lambda ctx, config: AsyncRoundPolicy(ctx),
     description="free-running clusters, scorers assigned at submission",
     validate=_reject_similarity_scoring,
     contract=ContractProfile(assigns_scorers_on_submit=True),

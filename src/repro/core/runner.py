@@ -39,7 +39,7 @@ from repro.core.baselines import (
 )
 from repro.core.config import ClusterConfig, ExperimentConfig, WorkloadConfig
 from repro.core.contract import UnifyFLContract
-from repro.core.orchestrator import OrchestrationResult
+from repro.core.orchestrator import OrchestrationResult, Orchestrator
 from repro.core.results import AggregatorResult, ExperimentResult
 from repro.core.sampling import ClientSampler
 from repro.core.scorer import build_scorer
@@ -51,7 +51,7 @@ from repro.fl.client import Client, ClientConfig
 from repro.ipfs.swarm import IPFSSwarm
 from repro.ml.models import Model, build_model
 from repro.sched.actors import STORAGE_ENDPOINT, ChainActor, CommFabric, NetworkActor
-from repro.sched.registry import PolicyBuildContext, get_policy
+from repro.sched.registry import get_policy
 from repro.simnet.faults import FaultPlan, ResiliencePolicy
 from repro.simnet.network import NetworkLink, Topology
 from repro.simnet.resources import ResourceMonitor
@@ -78,6 +78,9 @@ class ClientPopulation:
     participates in round ``r`` is a pure function of ``(sampling_seed, r)``
     — independent of materialisation order and of any other RNG stream.
     """
+
+    #: the round policies' cohort protocol (see ``FixedCohort``).
+    sampled = True
 
     def __init__(self, runner: "ExperimentRunner"):
         config = runner.config
@@ -107,6 +110,10 @@ class ClientPopulation:
         members = [self._materialise(i) for i in self.sampler.cohort(round_number)]
         self._rounds[round_number] = members
         return members
+
+    def lane_key(self, lane: int) -> str:
+        """Kernel tie-break key of a lane: its cohort slot."""
+        return f"lane-{lane}"
 
     def addresses(self, round_number: int) -> List[str]:
         """The chain addresses of a round's cohort."""
@@ -558,24 +565,24 @@ class ExperimentRunner:
         stats.strip_dirs().sort_stats(sort).print_stats(top)
         return result, buffer.getvalue()
 
-    def _build_orchestrator(self):
+    def _build_orchestrator(self) -> Orchestrator:
         """Dispatch the configured mode through the round-policy registry.
 
-        No hard-coded mode ladder: the registered spec's factory receives
-        one :class:`~repro.sched.registry.PolicyBuildContext` and builds the
-        orchestrator itself, so new modes plug in without runner edits.
+        No hard-coded mode ladder: the registered spec's factory builds the
+        round policy the one :class:`Orchestrator` drives, so new modes plug
+        in without runner edits.
         """
         assert self.chain is not None and self._driver_account is not None
-        build = PolicyBuildContext(
-            chain=self.chain,
-            driver=self._driver_account,
-            aggregators=self.aggregators,
-            timing=self.timing_model,
+        spec = get_policy(self.config.mode)
+        return Orchestrator(
+            self.chain,
+            self._driver_account,
+            self.aggregators,
+            self.timing_model,
+            lambda ctx: spec.factory(ctx, self.config),
             comm=self.comm,
-            config=self.config,
             population=self.population,
         )
-        return get_policy(self.config.mode).factory(build)
 
     def _record_daemon_overhead(self, rounds: int) -> None:
         if self.monitor is None:

@@ -13,10 +13,11 @@ quorum/staleness-bounded rounds (semi-sync).
   async, semi-sync, hierarchical, gossip) plus the
   :class:`~repro.sched.policies.RoundPolicy` base class for writing new ones.
 * :mod:`repro.sched.registry` — the pluggable round-policy registry:
-  policies register a name, a config-validation hook and a factory over one
-  :class:`~repro.sched.registry.PolicyBuildContext`; runner dispatch, config
-  validation, CLI mode choices and the contract's behaviour profile all
-  derive from the registrations.
+  policies register a name, a config-validation hook and a factory that
+  builds the :class:`~repro.sched.policies.RoundPolicy` from an
+  :class:`~repro.sched.policies.OrchestrationContext`; runner dispatch,
+  config validation, CLI mode choices and the contract's behaviour profile
+  all derive from the registrations.
 * :mod:`repro.sched.actors` — network and chain actors that promote model
   transfers and contract calls to first-class event streams (link contention
   over a replicated storage topology with on-the-books replication traffic —
@@ -32,6 +33,7 @@ from repro.sched.actors import ChainActor, ChainOp, CommFabric, NetworkActor
 from repro.sched.kernel import SimulationKernel
 from repro.sched.policies import (
     AsyncRoundPolicy,
+    FixedCohort,
     GossipRoundPolicy,
     HierarchicalRoundPolicy,
     OrchestrationContext,
@@ -41,9 +43,7 @@ from repro.sched.policies import (
 )
 from repro.sched.registry import (
     ContractProfile,
-    PolicyBuildContext,
     PolicySpec,
-    build_orchestrator,
     get_policy,
     register_policy,
     registered_modes,
@@ -57,16 +57,15 @@ __all__ = [
     "ChainOp",
     "CommFabric",
     "ContractProfile",
+    "FixedCohort",
     "GossipRoundPolicy",
     "HierarchicalRoundPolicy",
     "NetworkActor",
     "OrchestrationContext",
-    "PolicyBuildContext",
     "PolicySpec",
     "RoundPolicy",
     "SemiSyncRoundPolicy",
     "SyncRoundPolicy",
-    "build_orchestrator",
     "get_policy",
     "register_policy",
     "registered_modes",

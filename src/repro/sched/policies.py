@@ -47,14 +47,14 @@ bit-identical constant-cost runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
 import numpy as np
 
 from repro.sched.kernel import SimulationKernel
 
 # No module-level repro.core imports here: repro.core.__init__ imports the
-# orchestrators, which import this module — eager imports in both directions
+# orchestrator, which imports this module — eager imports in both directions
 # would break whichever package is imported first.  Runtime needs are imported
 # inside the handful of methods that use them.
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -66,6 +66,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sched.actors import CommFabric
 
 
+class FixedCohort:
+    """The identity cohort of a dense federation: every cluster, every round.
+
+    Lane ``j`` is cluster ``j`` in every round and is keyed by the cluster's
+    name on the kernel, so simultaneous events resolve in name order.
+    """
+
+    sampled = False
+
+    def __init__(self, aggregators: Sequence["UnifyFLAggregator"]):
+        self._aggregators = aggregators
+        self.cohort_size = len(aggregators)
+
+    def round_aggregators(self, round_number: int) -> Sequence["UnifyFLAggregator"]:
+        """Every cluster takes part in every round."""
+        return self._aggregators
+
+    def lane_key(self, lane: int) -> str:
+        """Kernel tie-break key of a lane: its cluster's name."""
+        return self._aggregators[lane].name
+
+
 @dataclass
 class OrchestrationContext:
     """Everything a round policy needs to drive a federation."""
@@ -75,7 +97,12 @@ class OrchestrationContext:
     aggregators: Sequence["UnifyFLAggregator"]
     timing: "ClusterTimingModel"
     num_rounds: int
-    #: shared per-aggregator accumulators, owned by the orchestrator facade.
+    #: who takes part in each round: the :class:`FixedCohort` of a dense
+    #: federation, or the lazy :class:`~repro.core.runner.ClientPopulation`
+    #: of a sampled one (then ``aggregators`` is the live list of clusters
+    #: materialised *so far*).
+    cohort: Union[FixedCohort, "ClientPopulation"]
+    #: shared per-aggregator accumulators, owned by the orchestrator.
     idle_totals: Dict[str, float] = field(default_factory=dict)
     straggles: Dict[str, int] = field(default_factory=dict)
     #: the event-stream communication fabric, or ``None`` for constant costs.
@@ -83,11 +110,6 @@ class OrchestrationContext:
     #: (startTraining / startScoring / endRound / closeSemiRound) as chain
     #: events and predict submission costs from the live link schedule.
     comm: Optional["CommFabric"] = None
-    #: the lazy virtual-cluster population of a sampled federation, or
-    #: ``None`` for the fully-materialised cross-silo shape.  When set,
-    #: ``aggregators`` is the live list of clusters materialised *so far*;
-    #: policies must draw each round's participants from the population.
-    population: Optional["ClientPopulation"] = None
 
     def add_idle(self, name: str, waited: float) -> None:
         """Accumulate ``waited`` idle seconds against aggregator ``name``."""
@@ -102,15 +124,16 @@ class RoundPolicy:
     def __init__(self, ctx: OrchestrationContext):
         self.ctx = ctx
         self.kernel: Optional[SimulationKernel] = None
-        #: sampled federations: highest round whose cohort was published to
-        #: the contract (guards setActiveCohort to once per round).
+        #: highest round whose cohort was published to the contract (guards
+        #: setActiveCohort to once per round in sampled federations).
         self._cohort_round_sent = 0
-        #: sampled free-running modes run the cohort as *lanes*: lane ``j``
-        #: executes global rounds 1..num_rounds, occupied in round ``r`` by
-        #: member ``j`` of round ``r``'s cohort.  The lane's timeline is
-        #: continuous — a new occupant starts where the previous one left
-        #: off — so the federation keeps a constant ``cohort_size`` degree
-        #: of parallelism while the participants rotate underneath it.
+        #: free-running modes run the cohort as *lanes*: lane ``j`` executes
+        #: global rounds 1..num_rounds, occupied in round ``r`` by member
+        #: ``j`` of round ``r``'s cohort (always cluster ``j`` when dense).
+        #: The lane's timeline is continuous — a new occupant starts where
+        #: the previous one left off — so the federation keeps a constant
+        #: ``cohort_size`` degree of parallelism while sampled participants
+        #: rotate underneath it.
         self._lane_round: Dict[int, int] = {}
         self._lane_time: Dict[int, float] = {}
 
@@ -125,13 +148,53 @@ class RoundPolicy:
         """Policy-specific result annotations (quorum stats, closures, ...)."""
         return {}
 
-    # ------------------------------------------------------------ shared steps
-    def _participants(self, round_number: int) -> Sequence["UnifyFLAggregator"]:
-        """The clusters taking part in a round (the cohort when sampled)."""
-        if self.ctx.population is None:
-            return self.ctx.aggregators
-        return self.ctx.population.round_aggregators(round_number)
+    # ------------------------------------------------------------------- lanes
+    def _activate_lane(self, lane: int) -> None:
+        """One step of a free-running lane (modes using lanes override this)."""
+        raise NotImplementedError
 
+    def _install_lanes(self, kernel: SimulationKernel) -> None:
+        """Arm every lane's first activation at its round-1 occupant's clock."""
+        self.kernel = kernel
+        first = self.ctx.cohort.round_aggregators(1)
+        for lane in range(self.ctx.cohort.cohort_size):
+            self._lane_round[lane] = 0
+            kernel.schedule_at(
+                first[lane].clock.now(),
+                lambda l=lane: self._activate_lane(l),
+                key=self.ctx.cohort.lane_key(lane),
+            )
+
+    def _next_lane_round(self, lane: int) -> Tuple[int, "UnifyFLAggregator"]:
+        """Advance a lane to its next round; return it and its occupant.
+
+        The occupant is aligned to the lane's timeline: a newly-materialised
+        cluster starts at clock 0 and is advanced to the lane time (no idle
+        is booked — it did not exist before); a cluster already past the
+        lane time, such as a dense lane's own cluster, carries on from its
+        own clock.
+        """
+        round_number = self._lane_round[lane] + 1
+        self._lane_round[lane] = round_number
+        aggregator = self.ctx.cohort.round_aggregators(round_number)[lane]
+        aggregator.clock.advance_to(self._lane_time.get(lane, 0.0))
+        return round_number, aggregator
+
+    def _rearm_lane(self, lane: int, aggregator: "UnifyFLAggregator") -> None:
+        """Continue the lane from its occupant's clock.
+
+        An O(log n) push, not an O(n) rescan of every aggregator; the next
+        round's occupant may be a different cluster when sampled.
+        """
+        assert self.kernel is not None
+        self._lane_time[lane] = aggregator.clock.now()
+        self.kernel.schedule_at(
+            aggregator.clock.now(),
+            lambda: self._activate_lane(lane),
+            key=self.ctx.cohort.lane_key(lane),
+        )
+
+    # ------------------------------------------------------------ shared steps
     def _update_active_cohort(self, round_number: int) -> None:
         """Publish a sampled round's cohort addresses to the contract.
 
@@ -140,29 +203,16 @@ class RoundPolicy:
         every round start but published at most once per round (free-running
         lanes all pass through here); bookkeeping only — no simulated cost
         is charged, the declaration piggybacks on the round's driver
-        traffic.  No-op in non-sampled runs.
+        traffic.  No-op for a dense federation's fixed cohort.
         """
-        if self.ctx.population is None or round_number <= self._cohort_round_sent:
+        if not self.ctx.cohort.sampled or round_number <= self._cohort_round_sent:
             return
         self._cohort_round_sent = round_number
-        addresses = self.ctx.population.addresses(round_number)
+        addresses = self.ctx.cohort.addresses(round_number)
         self.ctx.chain.send(
             self.ctx.driver, "unifyfl", "setActiveCohort", {"addresses": addresses}
         )
         self.ctx.chain.mine_until_empty()
-
-    def _lane_occupant(self, lane: int, round_number: int) -> "UnifyFLAggregator":
-        """Lane ``lane``'s occupant for a sampled round, aligned to lane time.
-
-        A newly-materialised cluster starts at clock 0 and is advanced to
-        the lane's timeline (no idle is booked — it did not exist before); a
-        re-sampled cluster may already be past the lane time, in which case
-        it simply carries on from its own clock.
-        """
-        assert self.ctx.population is not None
-        aggregator = self.ctx.population.round_aggregators(round_number)[lane]
-        aggregator.clock.advance_to(self._lane_time.get(lane, 0.0))
-        return aggregator
 
     def _driver_chain_op(self, kind: str, at: float, num_transactions: int = 1) -> float:
         """Charge one driver (orchestrator) transaction to the chain stream.
@@ -244,10 +294,21 @@ class SyncRoundPolicy(RoundPolicy):
     def __init__(
         self,
         ctx: OrchestrationContext,
-        training_window: float,
-        scoring_window: float,
+        training_window: Optional[float] = None,
+        scoring_window: Optional[float] = None,
+        scoring_algorithm: str = "accuracy",
     ):
         super().__init__(ctx)
+        clusters = [a.config for a in ctx.aggregators]
+        # Windows default to what an operator would provision for these
+        # clusters.  ``is not None`` rather than truthiness: an explicit window
+        # of 0.0 is a (degenerate but meaningful) choice, not "use the default".
+        if training_window is None:
+            training_window = ctx.timing.expected_training_window(clusters)
+        if scoring_window is None:
+            scoring_window = ctx.timing.expected_scoring_window(
+                clusters, algorithm=scoring_algorithm
+            )
         self.training_window = training_window
         self.scoring_window = scoring_window
         #: clusters that missed the submission window and owe a late submission.
@@ -255,14 +316,13 @@ class SyncRoundPolicy(RoundPolicy):
         self._round_timings: Dict[str, "RoundTiming"] = {}
         self._straggled: Dict[str, bool] = {}
         self._offline: Dict[str, bool] = {}
-        #: the clusters participating in the round in flight — the full
-        #: federation normally, the sampled cohort when a population is set.
+        #: the clusters participating in the round in flight (the cohort).
         self._active: Sequence["UnifyFLAggregator"] = ctx.aggregators
 
     def install(self, kernel: SimulationKernel) -> None:
         """Schedule the first round start at the initial barrier time."""
         self.kernel = kernel
-        barrier = max(a.clock.now() for a in self._participants(1))
+        barrier = max(a.clock.now() for a in self.ctx.cohort.round_aggregators(1))
         kernel.schedule_at(barrier, lambda: self._begin_round(1), key="sync-round")
 
     # ------------------------------------------------------------ phase events
@@ -271,15 +331,13 @@ class SyncRoundPolicy(RoundPolicy):
         from repro.core.timing import RoundTiming
 
         assert self.kernel is not None
-        participants = self._participants(round_number)
+        participants = self.ctx.cohort.round_aggregators(round_number)
         self._active = participants
         self._update_active_cohort(round_number)
-        barrier = max(a.clock.now() for a in participants)
-        if self.ctx.population is not None:
-            # A sampled cohort may consist entirely of clusters whose clocks
-            # lag the federation (fresh, or idle since an earlier round);
-            # the round still starts no earlier than the previous round end.
-            barrier = max(barrier, self.kernel.now())
+        # A sampled cohort may consist entirely of clusters whose clocks lag
+        # the federation (fresh, or idle since an earlier round); the round
+        # still starts no earlier than the previous round end.
+        barrier = max(self.kernel.now(), *(a.clock.now() for a in participants))
         self.ctx.chain.send(self.ctx.driver, "unifyfl", "startTraining")
         self.ctx.chain.mine_until_empty()
         # Event streams: training starts when the startTraining transaction is
@@ -288,9 +346,10 @@ class SyncRoundPolicy(RoundPolicy):
         barrier_waits: Dict[str, float] = {}
         for aggregator in participants:
             waited = aggregator.clock.advance_to(phase_start)
-            if self.ctx.population is not None and not aggregator.history:
+            if self.ctx.cohort.sampled and not aggregator.history:
                 # A newly-materialised cluster advancing from clock 0 to the
                 # current barrier did not wait — it did not exist before.
+                # (A dense cluster's round-1 wait is booked as idle.)
                 waited = 0.0
             self.ctx.add_idle(aggregator.name, waited)
             barrier_waits[aggregator.name] = waited
@@ -405,59 +464,17 @@ class AsyncRoundPolicy(RoundPolicy):
 
     mode = "async"
 
-    def __init__(self, ctx: OrchestrationContext):
-        super().__init__(ctx)
-        self.rounds_done: Dict[str, int] = {a.name: 0 for a in ctx.aggregators}
-
     def install(self, kernel: SimulationKernel) -> None:
-        """Arm every cluster's first activation at its own local clock."""
-        self.kernel = kernel
-        if self.ctx.population is not None:
-            # Sampled: one free-running lane per cohort slot; occupants
-            # rotate per round as the sampler draws them.
-            for lane in range(self.ctx.population.cohort_size):
-                self._lane_round[lane] = 0
-                kernel.schedule_at(
-                    0.0, lambda l=lane: self._activate_lane(l), key=f"lane-{lane}"
-                )
-            return
-        for aggregator in self.ctx.aggregators:
-            kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda a=aggregator: self._activate(a),
-                key=aggregator.name,
-            )
-
-    def _activate(self, aggregator: "UnifyFLAggregator") -> None:
-        assert self.kernel is not None
-        round_number = self.rounds_done[aggregator.name] + 1
-        self._free_running_round(aggregator, round_number)
-        self.rounds_done[aggregator.name] = round_number
-        if round_number < self.ctx.num_rounds:
-            # Re-arm this cluster at its new local time: an O(log n) push,
-            # not an O(n) rescan of every aggregator.
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._activate(aggregator),
-                key=aggregator.name,
-            )
+        """Arm every lane's first activation at its occupant's local clock."""
+        self._install_lanes(kernel)
 
     def _activate_lane(self, lane: int) -> None:
-        """Sampled-mode lane step: one self-paced round by the lane's occupant."""
-        assert self.kernel is not None
-        round_number = self._lane_round[lane] + 1
-        self._lane_round[lane] = round_number
+        """One self-paced round by the lane's occupant, then re-arm the lane."""
+        round_number, aggregator = self._next_lane_round(lane)
         self._update_active_cohort(round_number)
-        aggregator = self._lane_occupant(lane, round_number)
         self._free_running_round(aggregator, round_number)
-        self.rounds_done[aggregator.name] = self.rounds_done.get(aggregator.name, 0) + 1
-        self._lane_time[lane] = aggregator.clock.now()
         if round_number < self.ctx.num_rounds:
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._activate_lane(lane),
-                key=f"lane-{lane}",
-            )
+            self._rearm_lane(lane, aggregator)
 
     def finalize(self) -> None:
         """Drain leftover assigned scoring once every cluster finished."""
@@ -480,19 +497,25 @@ class SemiSyncRoundPolicy(RoundPolicy):
     def __init__(
         self,
         ctx: OrchestrationContext,
-        quorum_k: int,
-        max_staleness: float,
+        quorum_k: Optional[int] = None,
+        max_staleness: Optional[float] = None,
     ):
         super().__init__(ctx)
-        from repro.core.config import validate_semi_params
+        from repro.core.config import majority_quorum, validate_semi_params
 
-        validate_semi_params(quorum_k, max_staleness, len(ctx.aggregators))
+        clusters = [a.config for a in ctx.aggregators]
+        # Default quorum: a majority of clusters, mirroring the scorer-majority
+        # rule of the contract.  Default staleness bound: one provisioned sync
+        # training window — the round never lags a full lock-step phase behind.
+        if quorum_k is None:
+            quorum_k = majority_quorum(len(clusters))
+        if max_staleness is None:
+            max_staleness = ctx.timing.expected_training_window(clusters)
+        validate_semi_params(quorum_k, max_staleness, len(clusters))
         self.quorum_k = quorum_k
         self.max_staleness = max_staleness
-        self.rounds_done: Dict[str, int] = {a.name: 0 for a in ctx.aggregators}
         #: clusters waiting for the open round to close before re-activating,
-        #: as name -> (aggregator, lane); lane is ``None`` outside sampled
-        #: mode, where clusters are their own permanent lane.
+        #: as name -> (aggregator, lane).
         self._blocked: Dict[str, tuple] = {}
         #: semi round each cluster's latest submission was buffered into.
         self._submitted_round: Dict[str, int] = {}
@@ -505,6 +528,9 @@ class SemiSyncRoundPolicy(RoundPolicy):
         #: landed yet: the next landing closes the round immediately, so a
         #: round never stays open past max_staleness once it has content.
         self._deadline_passed = False
+        #: lanes that ran their last round.  Tracked per *lane*: the lane
+        #: retires, its last occupant does not block other lanes it may
+        #: later join.
         self._finished: set = set()
         self._timeout_event = None
         #: audit trail of round closures:
@@ -518,8 +544,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
 
     # ----------------------------------------------------------------- install
     def install(self, kernel: SimulationKernel) -> None:
-        """Configure the contract's quorum, arm every cluster and the timeout."""
-        self.kernel = kernel
+        """Configure the contract's quorum, arm every lane and the timeout."""
         self.ctx.chain.send(
             self.ctx.driver, "unifyfl", "configureSemiRound", {"quorum_k": self.quorum_k}
         )
@@ -527,25 +552,12 @@ class SemiSyncRoundPolicy(RoundPolicy):
         # Recorded for the chain accounting; nobody waits on the configuration
         # transaction (clusters start from their own clocks regardless).
         self._driver_chain_op("configureSemiRound", 0.0)
-        if self.ctx.population is not None:
-            for lane in range(self.ctx.population.cohort_size):
-                self._lane_round[lane] = 0
-                kernel.schedule_at(
-                    0.0, lambda l=lane: self._activate_lane(l), key=f"lane-{lane}"
-                )
-            self._arm_timeout()
-            return
-        for aggregator in self.ctx.aggregators:
-            kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda a=aggregator: self._activate(a),
-                key=aggregator.name,
-            )
+        self._install_lanes(kernel)
         self._arm_timeout()
 
     # ------------------------------------------------------------------ events
-    def _activate(self, aggregator: "UnifyFLAggregator") -> None:
-        """Run one self-paced cluster round starting at this event's time.
+    def _activate_lane(self, lane: int) -> None:
+        """Run one self-paced round by the lane's occupant at this event's time.
 
         The round's work is atomic (it advances the cluster's *local* clock
         past the kernel's global time), so quorum bookkeeping is deferred to a
@@ -554,74 +566,39 @@ class SemiSyncRoundPolicy(RoundPolicy):
         correctly ordered on the global timeline.
         """
         assert self.kernel is not None
-        round_number = self.rounds_done[aggregator.name] + 1
+        round_number, aggregator = self._next_lane_round(lane)
+        self._update_active_cohort(round_number)
         submitted = self._free_running_round(aggregator, round_number)
-        self.rounds_done[aggregator.name] = round_number
         done = round_number >= self.ctx.num_rounds
         if done:
-            self._finished.add(aggregator.name)
+            self._finished.add(lane)
 
         if submitted:
             status = self.ctx.chain.call("unifyfl", "getSemiRoundStatus")
             self._submitted_round[aggregator.name] = status["round"]
             self.kernel.schedule_at(
                 aggregator.clock.now(),
-                lambda: self._on_submission(aggregator),
-                key=aggregator.name,
+                lambda: self._on_submission(aggregator, lane),
+                key=self.ctx.cohort.lane_key(lane),
             )
         elif not done:
             # Offline round: nothing was submitted, keep free-running.
-            self._reactivate(aggregator)
+            self._rearm_lane(lane, aggregator)
 
         if self._all_finished() and self._timeout_event is not None:
             self._timeout_event.cancel()
             self._timeout_event = None
 
-    def _activate_lane(self, lane: int) -> None:
-        """Sampled-mode lane step: one self-paced round by the lane's occupant."""
-        assert self.kernel is not None
-        round_number = self._lane_round[lane] + 1
-        self._lane_round[lane] = round_number
-        self._update_active_cohort(round_number)
-        aggregator = self._lane_occupant(lane, round_number)
-        submitted = self._free_running_round(aggregator, round_number)
-        self.rounds_done[aggregator.name] = self.rounds_done.get(aggregator.name, 0) + 1
-        done = round_number >= self.ctx.num_rounds
-        if done:
-            # Finished state is tracked per *lane*: the lane retires, its
-            # last occupant does not block other lanes it may later join.
-            self._finished.add(lane)
-        self._lane_time[lane] = aggregator.clock.now()
-
-        if submitted:
-            status = self.ctx.chain.call("unifyfl", "getSemiRoundStatus")
-            self._submitted_round[aggregator.name] = status["round"]
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._on_submission(aggregator, lane=lane),
-                key=f"lane-{lane}",
-            )
-        elif not done:
-            self._reactivate(aggregator, lane=lane)
-
-        if self._all_finished() and self._timeout_event is not None:
-            self._timeout_event.cancel()
-            self._timeout_event = None
-
-    def _on_submission(
-        self, aggregator: "UnifyFLAggregator", lane: Optional[int] = None
-    ) -> None:
+    def _on_submission(self, aggregator: "UnifyFLAggregator", lane: int) -> None:
         """The cluster's submission lands (in global time): close or wait."""
         assert self.kernel is not None
-        done = (lane in self._finished) if lane is not None else (
-            aggregator.name in self._finished
-        )
+        done = lane in self._finished
         status = self.ctx.chain.call("unifyfl", "getSemiRoundStatus")
         if status["round"] > self._submitted_round.get(aggregator.name, 0):
             # The round this cluster fed was closed while its submission was
             # in flight — it is free to continue immediately.
             if not done:
-                self._reactivate(aggregator, lane=lane)
+                self._rearm_lane(lane, aggregator)
             return
         self._landed += 1
         if self._landed >= self.quorum_k:
@@ -630,13 +607,13 @@ class SemiSyncRoundPolicy(RoundPolicy):
                 # The quorum-triggering cluster waits for closeSemiRound
                 # finality exactly like every blocked waiter — closing the
                 # round is not a licence to skip the consensus wait.
-                self._release(aggregator, release_time, lane=lane)
+                self._release(aggregator, release_time, lane)
         elif self._deadline_passed:
             # The round is already past its staleness deadline; this first
             # landing gives it content, so it closes right away.
             release_time = self._close_round(reason="staleness")
             if not done:
-                self._release(aggregator, release_time, lane=lane)
+                self._release(aggregator, release_time, lane)
         elif not done:
             # Submitted to a round that is still open: wait for the close.
             self._blocked[aggregator.name] = (aggregator, lane)
@@ -654,26 +631,6 @@ class SemiSyncRoundPolicy(RoundPolicy):
             self._deadline_passed = True
 
     # --------------------------------------------------------------- internals
-    def _reactivate(
-        self, aggregator: "UnifyFLAggregator", lane: Optional[int] = None
-    ) -> None:
-        assert self.kernel is not None
-        if lane is not None:
-            # Sampled mode: the *lane* continues from this occupant's clock;
-            # the next round's occupant may be a different cluster.
-            self._lane_time[lane] = aggregator.clock.now()
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._activate_lane(lane),
-                key=f"lane-{lane}",
-            )
-            return
-        self.kernel.schedule_at(
-            aggregator.clock.now(),
-            lambda: self._activate(aggregator),
-            key=aggregator.name,
-        )
-
     def _arm_timeout(self) -> None:
         assert self.kernel is not None
         self._timeout_event = self.kernel.schedule_after(
@@ -681,10 +638,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
         )
 
     def _release(
-        self,
-        aggregator: "UnifyFLAggregator",
-        release_time: float,
-        lane: Optional[int] = None,
+        self, aggregator: "UnifyFLAggregator", release_time: float, lane: int
     ) -> None:
         """Advance a same-round submitter to the close's finality and re-arm it.
 
@@ -697,7 +651,7 @@ class SemiSyncRoundPolicy(RoundPolicy):
         self.ctx.add_idle(aggregator.name, waited)
         if aggregator.history:
             aggregator.history[-1].timing.idle_time += waited
-        self._reactivate(aggregator, lane=lane)
+        self._rearm_lane(lane, aggregator)
 
     def _close_round(self, reason: str) -> float:
         """Close the open semi round on the contract and release waiters.
@@ -729,13 +683,11 @@ class SemiSyncRoundPolicy(RoundPolicy):
 
         blocked = [self._blocked.pop(name) for name in sorted(self._blocked)]
         for aggregator, lane in blocked:
-            self._release(aggregator, release_time, lane=lane)
+            self._release(aggregator, release_time, lane)
         return release_time
 
     def _all_finished(self) -> bool:
-        if self.ctx.population is not None:
-            return len(self._finished) == self.ctx.population.cohort_size
-        return len(self._finished) == len(self.ctx.aggregators)
+        return len(self._finished) == self.ctx.cohort.cohort_size
 
     # ----------------------------------------------------------------- results
     def finalize(self) -> None:
@@ -796,20 +748,21 @@ class HierarchicalRoundPolicy(RoundPolicy):
         round_budget: Optional[int] = None,
     ):
         super().__init__(ctx)
-        # Range validation lives in HierarchicalOrchestrator (and, for
-        # experiment configs, in ExperimentConfig); the policy trusts its
-        # inputs and only clamps the site count to the federation size.
-        aggregators = list(ctx.aggregators)
-        self.num_sites = max(1, min(num_sites, len(aggregators)))
+        if num_sites < 1:
+            raise ValueError("num_sites must be at least 1")
+        if local_rounds_per_global < 1:
+            raise ValueError("local_rounds_per_global must be at least 1")
+        if round_budget is not None and round_budget < 1:
+            raise ValueError("round_budget must be at least 1 when set")
+        # The site count is clamped to the cohort size.
+        self.num_sites = max(1, min(num_sites, ctx.cohort.cohort_size))
         self.local_rounds = local_rounds_per_global
         self.round_budget = round_budget
-        #: groups[s] = clusters whose home site is s (fabric round-robin order).
-        self.groups: List[List["UnifyFLAggregator"]] = [[] for _ in range(self.num_sites)]
-        for i, aggregator in enumerate(aggregators):
-            self.groups[i % self.num_sites].append(aggregator)
-        self.budget_left: Dict[str, Optional[int]] = {
-            a.name: round_budget for a in aggregators
-        }
+        #: groups[s] = the round's clusters whose home site is s (fabric
+        #: round-robin order), rebuilt every round from the cohort.
+        self.groups: List[List["UnifyFLAggregator"]] = []
+        #: remaining local training rounds per cluster (absent = untouched).
+        self.budget_left: Dict[str, Optional[int]] = {}
         #: (global_round, local_round) at which each cluster ran dry.
         self.budget_exhausted_at: Dict[str, tuple] = {}
         #: audit trail of leader elections: (global_round, site_index, name).
@@ -833,7 +786,7 @@ class HierarchicalRoundPolicy(RoundPolicy):
     def install(self, kernel: SimulationKernel) -> None:
         """Schedule the first global round at the initial barrier time."""
         self.kernel = kernel
-        barrier = max(a.clock.now() for a in self._participants(1))
+        barrier = max(a.clock.now() for a in self.ctx.cohort.round_aggregators(1))
         kernel.schedule_at(barrier, lambda: self._begin_round(1), key="hier-round")
 
     # ---------------------------------------------------------- helper pricing
@@ -877,25 +830,22 @@ class HierarchicalRoundPolicy(RoundPolicy):
         from repro.core.timing import RoundTiming
 
         assert self.kernel is not None
-        participants = list(self._participants(global_round))
+        participants = self.ctx.cohort.round_aggregators(global_round)
         self._update_active_cohort(global_round)
-        sampled = self.ctx.population is not None
-        if sampled:
-            # Cohorts change per round: site groups are rebuilt each round
-            # with the same ``i % num_sites`` round-robin over the cohort.
-            self.groups = [[] for _ in range(self.num_sites)]
-            for i, aggregator in enumerate(participants):
-                self.groups[i % self.num_sites].append(aggregator)
-        barrier = max(a.clock.now() for a in participants)
-        if sampled:
-            barrier = max(barrier, self.kernel.now())
+        # Sampled cohorts change per round, so site groups are rebuilt each
+        # round with the same ``i % num_sites`` round-robin over the cohort.
+        self.groups = [[] for _ in range(self.num_sites)]
+        for i, aggregator in enumerate(participants):
+            self.groups[i % self.num_sites].append(aggregator)
+        barrier = max(self.kernel.now(), *(a.clock.now() for a in participants))
         timings: Dict[str, "RoundTiming"] = {}
         available: Dict[str, bool] = {}
         for aggregator in participants:
             waited = aggregator.clock.advance_to(barrier)
-            if sampled and not aggregator.history:
-                # A freshly materialised cohort member did not exist before
-                # this barrier; catching its clock up is not idle waiting.
+            if not aggregator.history:
+                # A cluster's first round starts at the barrier: a freshly
+                # materialised cohort member did not exist before it, and a
+                # dense federation's clocks all sit there already.
                 waited = 0.0
             self.ctx.add_idle(aggregator.name, waited)
             self.tier_totals["global_idle_time"] += waited
@@ -1083,8 +1033,6 @@ class GossipRoundPolicy(RoundPolicy):
             raise ValueError("gossip fanout must be non-negative")
         self.fanout = fanout
         self.seed = seed
-        self.rounds_done: Dict[str, int] = {a.name: 0 for a in ctx.aggregators}
-        self._index: Dict[str, int] = {a.name: i for i, a in enumerate(ctx.aggregators)}
         #: publication history per cluster, as (cid, publish_time) in time
         #: order.  A puller sees the peer's *latest visible* publication —
         #: the last one whose publish time its own clock has passed — so a
@@ -1098,47 +1046,18 @@ class GossipRoundPolicy(RoundPolicy):
 
     # ----------------------------------------------------------------- install
     def install(self, kernel: SimulationKernel) -> None:
-        """Arm every cluster's first activation at its own local clock."""
-        self.kernel = kernel
-        if self.ctx.population is not None:
-            for lane in range(self.ctx.population.cohort_size):
-                self._lane_round[lane] = 0
-                kernel.schedule_at(
-                    0.0, lambda l=lane: self._activate_lane(l), key=f"lane-{lane}"
-                )
-            return
-        for aggregator in self.ctx.aggregators:
-            kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda a=aggregator: self._activate(a),
-                key=aggregator.name,
-            )
+        """Arm every lane's first activation at its occupant's local clock."""
+        self._install_lanes(kernel)
 
     # ------------------------------------------------------------------ events
-    def _select_peers(self, aggregator: "UnifyFLAggregator", round_number: int) -> List["UnifyFLAggregator"]:
-        """The deterministic seeded fanout draw for one (cluster, round)."""
-        others = [a for a in self.ctx.aggregators if a.name != aggregator.name]
-        k = min(self.fanout, len(others))
-        if k <= 0:
-            return []
-        rng = np.random.default_rng(
-            [self.seed, round_number, self._index[aggregator.name]]
-        )
-        chosen = sorted(rng.choice(len(others), size=k, replace=False).tolist())
-        return [others[i] for i in chosen]
+    def _select_peers(self, lane: int, round_number: int) -> List["UnifyFLAggregator"]:
+        """The deterministic seeded fanout draw for one (lane, round).
 
-    def _select_lane_peers(
-        self,
-        participants: Sequence["UnifyFLAggregator"],
-        lane: int,
-        round_number: int,
-    ) -> List["UnifyFLAggregator"]:
-        """Sampled-mode fanout draw: peers come from the round's cohort.
-
-        The draw is keyed on the *lane* (the cohort slot), not the cluster,
-        so it is independent of which virtual cluster happens to occupy the
-        slot this round.
+        Peers come from the round's cohort.  The draw is keyed on the *lane*
+        (the cohort slot), not the cluster, so it is independent of which
+        virtual cluster happens to occupy the slot this round.
         """
+        participants = self.ctx.cohort.round_aggregators(round_number)
         others = [a for i, a in enumerate(participants) if i != lane]
         k = min(self.fanout, len(others))
         if k <= 0:
@@ -1147,38 +1066,12 @@ class GossipRoundPolicy(RoundPolicy):
         chosen = sorted(rng.choice(len(others), size=k, replace=False).tolist())
         return [others[i] for i in chosen]
 
-    def _activate(self, aggregator: "UnifyFLAggregator") -> None:
-        assert self.kernel is not None
-        round_number = self.rounds_done[aggregator.name] + 1
-        self.rounds_done[aggregator.name] = round_number
-        done = round_number >= self.ctx.num_rounds
-        self._run_round(
-            aggregator, round_number, self._select_peers(aggregator, round_number)
-        )
-        if not done:
-            self._reactivate(aggregator)
-
     def _activate_lane(self, lane: int) -> None:
-        """Sampled-mode lane step: one gossip round by the lane's occupant."""
-        assert self.kernel is not None
-        assert self.ctx.population is not None
-        round_number = self._lane_round[lane] + 1
-        self._lane_round[lane] = round_number
-        participants = self.ctx.population.round_aggregators(round_number)
-        aggregator = self._lane_occupant(lane, round_number)
-        self.rounds_done[aggregator.name] = self.rounds_done.get(aggregator.name, 0) + 1
-        self._run_round(
-            aggregator,
-            round_number,
-            self._select_lane_peers(participants, lane, round_number),
-        )
-        self._lane_time[lane] = aggregator.clock.now()
+        """One gossip round by the lane's occupant, then re-arm the lane."""
+        round_number, aggregator = self._next_lane_round(lane)
+        self._run_round(aggregator, round_number, self._select_peers(lane, round_number))
         if round_number < self.ctx.num_rounds:
-            self.kernel.schedule_at(
-                aggregator.clock.now(),
-                lambda: self._activate_lane(lane),
-                key=f"lane-{lane}",
-            )
+            self._rearm_lane(lane, aggregator)
 
     def _run_round(
         self,
@@ -1244,14 +1137,6 @@ class GossipRoundPolicy(RoundPolicy):
             if publish_time <= now:
                 return cid
         return None
-
-    def _reactivate(self, aggregator: "UnifyFLAggregator") -> None:
-        assert self.kernel is not None
-        self.kernel.schedule_at(
-            aggregator.clock.now(),
-            lambda: self._activate(aggregator),
-            key=aggregator.name,
-        )
 
     # ----------------------------------------------------------------- results
     def extras(self) -> Dict[str, object]:

@@ -10,9 +10,11 @@ config-validation hook, a factory, and the contract-behaviour profile its
 mode needs — and every consumer derives its view from the registration:
 
 * :class:`~repro.core.runner.ExperimentRunner` dispatches through
-  :func:`get_policy` and calls the spec's ``factory`` with a single
-  :class:`PolicyBuildContext` (replacing the old positional ``common``
-  tuple);
+  :func:`get_policy`: the spec's ``factory`` builds the mode's
+  :class:`~repro.sched.policies.RoundPolicy` from the run's
+  :class:`~repro.sched.policies.OrchestrationContext` and the experiment
+  config, and the one :class:`~repro.core.orchestrator.Orchestrator` drives
+  it;
 * :class:`~repro.core.config.ExperimentConfig` validates ``mode`` against
   :func:`registered_modes` at construction time and runs the spec's
   ``validate`` hook, so an unknown mode fails fast with the list of
@@ -32,16 +34,11 @@ imported, which :func:`_load_builtins` triggers lazily on first lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.chain.account import Account
-    from repro.chain.blockchain import Blockchain
-    from repro.core.aggregator import UnifyFLAggregator
     from repro.core.config import ExperimentConfig
-    from repro.core.runner import ClientPopulation
-    from repro.core.timing import ClusterTimingModel
-    from repro.sched.actors import CommFabric
+    from repro.sched.policies import OrchestrationContext, RoundPolicy
 
 
 @dataclass(frozen=True)
@@ -69,40 +66,15 @@ class ContractProfile:
     buffered: bool = False
 
 
-@dataclass
-class PolicyBuildContext:
-    """Everything a registered policy factory gets to build its orchestrator.
-
-    One dataclass instead of the old positional ``(chain, driver,
-    aggregators, timing)`` tuple, so factories pick what they need by name
-    and new fields never ripple through every call site.
-    """
-
-    chain: "Blockchain"
-    driver: "Account"
-    aggregators: Sequence["UnifyFLAggregator"]
-    timing: "ClusterTimingModel"
-    #: the event-stream communication fabric, or ``None`` for constant costs.
-    comm: Optional["CommFabric"] = None
-    #: the full experiment configuration; ``None`` when an orchestrator is
-    #: built programmatically outside an :class:`ExperimentRunner`.
-    config: Optional["ExperimentConfig"] = None
-    #: the lazy virtual-cluster population of a sampled federation, or
-    #: ``None`` for the classic fully-materialised cross-silo shape.  When
-    #: set, ``aggregators`` is the *live* list the population appends to and
-    #: holds only the clusters materialised so far (round 1's cohort at
-    #: build time).
-    population: Optional["ClientPopulation"] = None
-
-
 @dataclass(frozen=True)
 class PolicySpec:
     """One registered orchestration mode.
 
     Attributes:
         name: the mode string (``ExperimentConfig.mode`` / CLI ``--mode``).
-        factory: builds the mode's orchestrator from a
-            :class:`PolicyBuildContext`.
+        factory: builds the mode's round policy from the run's
+            :class:`~repro.sched.policies.OrchestrationContext` and the
+            experiment config.
         description: one-line summary surfaced by CLI help and docs.
         validate: optional hook run at ``ExperimentConfig`` construction;
             raises ``ValueError`` on a configuration the mode cannot run.
@@ -110,7 +82,7 @@ class PolicySpec:
     """
 
     name: str
-    factory: Callable[[PolicyBuildContext], Any]
+    factory: Callable[["OrchestrationContext", "ExperimentConfig"], "RoundPolicy"]
     description: str = ""
     validate: Optional[Callable[["ExperimentConfig"], None]] = None
     contract: ContractProfile = field(default_factory=ContractProfile)
@@ -169,10 +141,3 @@ def validate_mode_config(config: "ExperimentConfig") -> None:
     spec = get_policy(config.mode)
     if spec.validate is not None:
         spec.validate(config)
-
-
-def build_orchestrator(build: PolicyBuildContext) -> Any:
-    """Dispatch a build context to its mode's registered factory."""
-    if build.config is None:
-        raise ValueError("build_orchestrator needs a PolicyBuildContext with a config")
-    return get_policy(build.config.mode).factory(build)

@@ -287,8 +287,8 @@ class TestUNIT003DeprecatedAlias:
         assert len(report.findings) == 2
 
     def test_the_shim_definition_itself_passes(self):
-        # Store contexts are the alias definitions, which must keep the
-        # old spelling for backward compatibility.
+        # Store contexts are exempt: only reads and keyword pass-through
+        # are uses of the alias spelling.
         source = "link_bandwidth_mbps = None\n"
         assert lint_source(source, path="src/repro/example.py").findings == []
 

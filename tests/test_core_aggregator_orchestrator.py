@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.core.aggregator import UnifyFLAggregator
 from repro.core.attacks import SignFlipAttack
 from repro.core.config import ClusterConfig, cifar10_workload
 from repro.core.contract import UnifyFLContract
-from repro.core.orchestrator import AsyncOrchestrator, SemiSyncOrchestrator, SyncOrchestrator
+from repro.core.orchestrator import Orchestrator
 from repro.core.scorer import AccuracyScorer
 from repro.core.timing import ClusterTimingModel
 from repro.datasets.partition import IIDPartitioner
@@ -20,6 +22,7 @@ from repro.fl.client import Client, ClientConfig
 from repro.ipfs.swarm import IPFSSwarm
 from repro.ml.models import SimpleCNN
 from repro.ml.tensor_utils import weights_allclose
+from repro.sched.policies import AsyncRoundPolicy, SemiSyncRoundPolicy, SyncRoundPolicy
 from repro.simnet.hardware import DOCKER_CONTAINER, EDGE_CPU_NODE
 from repro.simnet.resources import ResourceMonitor
 
@@ -209,35 +212,39 @@ class TestAggregatorUnit:
 class TestSyncOrchestrator:
     def test_two_rounds_complete(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
         result = orchestrator.run(2)
         assert result.rounds_completed == 2
         assert all(len(h) == 2 for h in result.histories.values())
 
     def test_all_aggregators_share_the_same_total_time(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
         result = orchestrator.run(2)
         times = list(result.total_times.values())
         assert max(times) - min(times) < 1e-6
 
     def test_idle_time_recorded(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
         result = orchestrator.run(1)
         assert any(idle > 0 for idle in result.idle_times.values())
 
     def test_every_aggregator_scored_peers(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        SyncOrchestrator(chain, driver, aggregators, timing).run(1)
+        Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy).run(1)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert len(records) == 3
         assert all(len(r["scores"]) == 2 for r in records)
 
     def test_tight_window_causes_stragglers(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(
-            chain, driver, aggregators, timing, training_window=0.5, scoring_window=5.0
+        orchestrator = Orchestrator(
+            chain,
+            driver,
+            aggregators,
+            timing,
+            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
         )
         result = orchestrator.run(2)
         assert sum(result.straggler_counts.values()) > 0
@@ -245,11 +252,11 @@ class TestSyncOrchestrator:
     def test_requires_aggregators(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
         with pytest.raises(ValueError):
-            SyncOrchestrator(chain, driver, [], timing)
+            Orchestrator(chain, driver, [], timing, SyncRoundPolicy)
 
     def test_rejects_zero_rounds(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, SyncRoundPolicy)
         with pytest.raises(ValueError):
             orchestrator.run(0)
 
@@ -259,8 +266,12 @@ class TestSyncStragglerPath:
 
     def test_stragglers_submit_their_stale_model_next_round(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(
-            chain, driver, aggregators, timing, training_window=0.5, scoring_window=5.0
+        orchestrator = Orchestrator(
+            chain,
+            driver,
+            aggregators,
+            timing,
+            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
         )
         result = orchestrator.run(2)
         # The window is far too tight for anyone: every cluster straggles in
@@ -276,8 +287,12 @@ class TestSyncStragglerPath:
 
     def test_late_submissions_carry_the_next_round_number(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        SyncOrchestrator(
-            chain, driver, aggregators, timing, training_window=0.5, scoring_window=5.0
+        Orchestrator(
+            chain,
+            driver,
+            aggregators,
+            timing,
+            partial(SyncRoundPolicy, training_window=0.5, scoring_window=5.0),
         ).run(2)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert records and all(r["round"] == 2 for r in records)
@@ -286,12 +301,16 @@ class TestSyncStragglerPath:
         # Regression: `training_window=0.0` used to be silently replaced by the
         # provisioned default because of a truthiness check.
         chain, driver, aggregators, timing, _ = build_federation(mode="sync")
-        orchestrator = SyncOrchestrator(
-            chain, driver, aggregators, timing, training_window=0.0, scoring_window=0.0
+        orchestrator = Orchestrator(
+            chain,
+            driver,
+            aggregators,
+            timing,
+            partial(SyncRoundPolicy, training_window=0.0, scoring_window=0.0),
         )
-        assert orchestrator.training_window == 0.0
-        assert orchestrator.scoring_window == 0.0
         result = orchestrator.run(1)
+        assert orchestrator.policy.training_window == 0.0
+        assert orchestrator.policy.scoring_window == 0.0
         # A zero-length window means nobody can ever submit in time.
         assert all(count == 1 for count in result.straggler_counts.values())
 
@@ -299,7 +318,7 @@ class TestSyncStragglerPath:
 class TestAsyncOrchestrator:
     def test_two_rounds_complete(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        orchestrator = AsyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy)
         result = orchestrator.run(2)
         assert result.rounds_completed == 2
         assert all(len(h) == 2 for h in result.histories.values())
@@ -312,26 +331,26 @@ class TestAsyncOrchestrator:
         aggregators[0].config = ClusterConfig(
             name=aggregators[0].config.name, num_clients=2, client_profile=RASPBERRY_PI_400
         )
-        result = AsyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
         times = sorted(result.total_times.values())
         assert times[-1] > times[0]
 
     def test_async_faster_than_sync(self):
         sync_chain, sync_driver, sync_aggs, sync_timing, _ = build_federation(mode="sync", seed=2)
-        sync_result = SyncOrchestrator(sync_chain, sync_driver, sync_aggs, sync_timing).run(2)
+        sync_result = Orchestrator(sync_chain, sync_driver, sync_aggs, sync_timing, SyncRoundPolicy).run(2)
         async_chain, async_driver, async_aggs, async_timing, _ = build_federation(mode="async", seed=2)
-        async_result = AsyncOrchestrator(async_chain, async_driver, async_aggs, async_timing).run(2)
+        async_result = Orchestrator(async_chain, async_driver, async_aggs, async_timing, AsyncRoundPolicy).run(2)
         assert max(async_result.total_times.values()) < max(sync_result.total_times.values())
 
     def test_scores_eventually_submitted(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        AsyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert any(len(r["scores"]) > 0 for r in records)
 
     def test_no_idle_time_in_async(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        result = AsyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
         assert all(idle == 0.0 for idle in result.idle_times.values())
 
     def test_round_timings_account_for_every_clock_second(self):
@@ -340,20 +359,49 @@ class TestAsyncOrchestrator:
         # the cluster's total time.  The drain is now folded into the last
         # round record and the books balance exactly.
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        result = AsyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy).run(2)
         for aggregator in aggregators:
             recorded = sum(r.timing.total_time for r in result.histories[aggregator.name])
             assert recorded == pytest.approx(aggregator.total_time(), abs=1e-9)
 
     def test_scheduling_goes_through_the_event_kernel(self):
         chain, driver, aggregators, timing, _ = build_federation(mode="async")
-        orchestrator = AsyncOrchestrator(chain, driver, aggregators, timing)
+        orchestrator = Orchestrator(chain, driver, aggregators, timing, AsyncRoundPolicy)
         orchestrator.run(2)
         assert orchestrator.kernel is not None
         # One activation event per cluster round, all dispatched via the heap.
         assert orchestrator.kernel.events_processed == len(aggregators) * 2
         stats = orchestrator.kernel.queue.stats
         assert stats["pushes"] == stats["pops"] == len(aggregators) * 2
+
+    def test_simultaneous_lanes_dispatch_in_cluster_name_order(self):
+        # A dense federation is the identity cohort, and its lanes are keyed
+        # by cluster name on the kernel: identical clusters finishing at the
+        # same instant submit in name order (agg10 before agg2).  Keying by
+        # slot index instead would reorder them and change every result.
+        from repro.core.config import ExperimentConfig, gpu_cluster_configs
+        from repro.core.runner import ExperimentRunner
+
+        config = ExperimentConfig(
+            name="kernel-keys",
+            workload=cifar10_workload(rounds=1, samples_per_class=24, image_size=8),
+            clusters=gpu_cluster_configs(12, 1),
+            mode="async",
+            partitioning="iid",
+            rounds=1,
+            event_streams=False,
+        )
+        runner = ExperimentRunner(config)
+        runner.run()
+        names = {a.address: a.name for a in runner.aggregators}
+        senders = [
+            names[tx.sender]
+            for block in runner.chain.blocks
+            for tx in block.transactions
+            if tx.method == "submitModel"
+        ]
+        assert senders == sorted(a.name for a in runner.aggregators)
+        assert senders[:5] == ["agg1", "agg10", "agg11", "agg12", "agg2"]
 
 
 class TestSemiSyncOrchestrator:
@@ -369,15 +417,19 @@ class TestSemiSyncOrchestrator:
 
     def test_rounds_complete_for_every_cluster(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
         assert result.mode == "semi"
         assert result.rounds_completed == 2
         assert all(len(h) == 2 for h in result.histories.values())
 
     def test_quorum_waits_produce_bounded_idle(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(
-            chain, driver, aggregators, timing, quorum_k=2
+        result = Orchestrator(
+            chain,
+            driver,
+            aggregators,
+            timing,
+            partial(SemiSyncRoundPolicy, quorum_k=2),
         ).run(3)
         # Someone waited for a round to close (unlike async)...
         assert sum(result.idle_times.values()) > 0.0
@@ -390,16 +442,24 @@ class TestSemiSyncOrchestrator:
 
     def test_quorum_of_one_degenerates_to_async(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(
-            chain, driver, aggregators, timing, quorum_k=1
+        result = Orchestrator(
+            chain,
+            driver,
+            aggregators,
+            timing,
+            partial(SemiSyncRoundPolicy, quorum_k=1),
         ).run(2)
         assert all(idle == 0.0 for idle in result.idle_times.values())
         assert result.extras["staleness_closures"] == 0
 
     def test_small_staleness_bound_forces_staleness_closures(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(
-            chain, driver, aggregators, timing, quorum_k=3, max_staleness=4.0
+        result = Orchestrator(
+            chain,
+            driver,
+            aggregators,
+            timing,
+            partial(SemiSyncRoundPolicy, quorum_k=3, max_staleness=4.0),
         ).run(2)
         assert result.extras["staleness_closures"] > 0
 
@@ -408,15 +468,19 @@ class TestSemiSyncOrchestrator:
         # expires on an empty round; the round must then close as soon as one
         # submission lands, never by quorum.
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(
-            chain, driver, aggregators, timing, quorum_k=3, max_staleness=0.5
+        result = Orchestrator(
+            chain,
+            driver,
+            aggregators,
+            timing,
+            partial(SemiSyncRoundPolicy, quorum_k=3, max_staleness=0.5),
         ).run(2)
         assert result.extras["quorum_closures"] == 0
         assert result.extras["staleness_closures"] == result.extras["rounds_closed"] > 0
 
     def test_closures_are_recorded_in_time_order(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(chain, driver, aggregators, timing).run(3)
+        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(3)
         closures = result.extras["closures"]
         assert len(closures) == result.extras["rounds_closed"] >= 1
         close_times = [c[1] for c in closures]
@@ -425,7 +489,7 @@ class TestSemiSyncOrchestrator:
 
     def test_round_timings_account_for_every_clock_second(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        result = SemiSyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
         for aggregator in aggregators:
             recorded = sum(r.timing.total_time for r in result.histories[aggregator.name])
             assert recorded == pytest.approx(aggregator.total_time(), abs=1e-9)
@@ -433,7 +497,7 @@ class TestSemiSyncOrchestrator:
     def test_deterministic_for_a_fixed_seed(self):
         def run(seed):
             chain, driver, aggregators, timing = self._heterogeneous(seed=seed)
-            result = SemiSyncOrchestrator(chain, driver, aggregators, timing).run(2)
+            result = Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
             return (
                 result.total_times,
                 result.idle_times,
@@ -446,16 +510,26 @@ class TestSemiSyncOrchestrator:
 
     def test_invalid_parameters_rejected(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        with pytest.raises(ValueError):
-            SemiSyncOrchestrator(chain, driver, aggregators, timing, quorum_k=0)
-        with pytest.raises(ValueError):
-            SemiSyncOrchestrator(chain, driver, aggregators, timing, quorum_k=len(aggregators) + 1)
-        with pytest.raises(ValueError):
-            SemiSyncOrchestrator(chain, driver, aggregators, timing, max_staleness=0.0)
+        # The policy validates when the run builds it, before any event.
+        for bad in (
+            dict(quorum_k=0),
+            dict(quorum_k=len(aggregators) + 1),
+            dict(max_staleness=0.0),
+        ):
+            orchestrator = Orchestrator(
+                chain,
+                driver,
+                aggregators,
+                timing,
+                partial(SemiSyncRoundPolicy, **bad),
+            )
+            with pytest.raises(ValueError):
+                orchestrator.run(2)
+            assert orchestrator.kernel is None
 
     def test_scores_eventually_submitted(self):
         chain, driver, aggregators, timing = self._heterogeneous()
-        SemiSyncOrchestrator(chain, driver, aggregators, timing).run(2)
+        Orchestrator(chain, driver, aggregators, timing, SemiSyncRoundPolicy).run(2)
         records = chain.call("unifyfl", "getLatestModelsWithScores")
         assert any(len(r["scores"]) > 0 for r in records)
 

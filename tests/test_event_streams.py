@@ -607,13 +607,11 @@ class TestEventStreamExperiments:
         with pytest.raises(ValueError):
             tiny_config("async", event_streams=True, wan_bandwidth_mbytes_per_s=0.0)
 
-    def test_deprecated_bandwidth_alias_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            config = tiny_config("async", event_streams=True, link_bandwidth_mbps=0.25)
-        # The deprecated Mbps-named knob feeds the megabytes/s field.
+    def test_bandwidth_cap_is_in_megabytes_per_second(self):
+        config = tiny_config("async", event_streams=True, link_bandwidth_mbytes_per_s=0.25)
         assert config.link_bandwidth_mbytes_per_s == 0.25
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            tiny_config("async", event_streams=True, link_bandwidth_mbps=0.0)
+        with pytest.raises(ValueError):
+            tiny_config("async", event_streams=True, link_bandwidth_mbytes_per_s=0.0)
 
 
 def test_format_comm_table_without_streams():
@@ -627,16 +625,16 @@ class TestSemiSyncReleaseTiming:
         """Regression: the quorum-triggering cluster must wait for
         closeSemiRound finality exactly like every blocked waiter — it used
         to be reactivated from its own clock, skipping the consensus wait."""
-        from repro.core.orchestrator import SemiSyncOrchestrator
+        from repro.core.orchestrator import Orchestrator
         from repro.sched.policies import SemiSyncRoundPolicy
 
         resumed = []
 
         class RecordingPolicy(SemiSyncRoundPolicy):
-            def _on_submission(self, aggregator, lane=None):
+            def _on_submission(self, aggregator, lane):
                 before = len(self.closures)
-                super()._on_submission(aggregator, lane=lane)
-                if len(self.closures) > before and aggregator.name not in self._finished:
+                super()._on_submission(aggregator, lane)
+                if len(self.closures) > before and lane not in self._finished:
                     # This cluster's landing closed the round and it resumes.
                     release_time = self.closures[-1][4]
                     resumed.append(("closer", aggregator.name, aggregator.clock.now(), release_time))
@@ -648,20 +646,15 @@ class TestSemiSyncReleaseTiming:
                     resumed.append(("waiter", waiter.name, waiter.clock.now(), release_time))
                 return release_time
 
-        class RecordingOrchestrator(SemiSyncOrchestrator):
-            def _build_policy(self, ctx):
-                return RecordingPolicy(
-                    ctx, quorum_k=self.quorum_k, max_staleness=self.max_staleness
-                )
-
         config = tiny_config("semi", event_streams=True)
         runner = ExperimentRunner(config)
         runner.build()
-        orchestration = RecordingOrchestrator(
+        orchestration = Orchestrator(
             runner.chain,
             runner._driver_account,
             runner.aggregators,
             runner.timing_model,
+            RecordingPolicy,
             comm=runner.comm,
         ).run(config.rounds)
 

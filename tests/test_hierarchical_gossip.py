@@ -30,6 +30,33 @@ def config(mode: str, rounds: int = 2, seed: int = 5, **kwargs) -> ExperimentCon
     )
 
 
+#: constant costs, fault-free event streams (the default), and event
+#: streams under churn, a replica outage and lazy replication.
+TIMING_SHAPES = {
+    "constant": dict(event_streams=False),
+    "streams": dict(),
+    "faulty-streams": dict(
+        event_streams=True,
+        storage_replicas=2,
+        replication_mode="lazy",
+        churn_rate=0.2,
+        replica_outages=1,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TIMING_SHAPES))
+@pytest.mark.parametrize("mode", ["sync", "async", "semi", "hierarchical", "gossip"])
+def test_per_round_timings_sum_to_cluster_clock(mode, shape):
+    # Every dense mode books each simulated second of a cluster's clock to
+    # exactly one round record, with or without faults.
+    runner = ExperimentRunner(config(mode, rounds=3, gossip_fanout=2, **TIMING_SHAPES[shape]))
+    runner.run()
+    for aggregator in runner.aggregators:
+        total = sum(r.timing.total_time for r in aggregator.history)
+        assert total == pytest.approx(aggregator.clock.now(), rel=1e-9)
+
+
 # ----------------------------------------------------------------- hierarchical
 class TestHierarchical:
     def test_site_grouping_mirrors_fabric_round_robin(self):
@@ -197,13 +224,6 @@ class TestGossip:
         assert extras_time == pytest.approx(
             comm["exchange_time"] + comm["exchange_queued"], rel=1e-9
         )
-
-    def test_per_round_timings_sum_to_cluster_clock(self):
-        runner = ExperimentRunner(config("gossip", rounds=3, gossip_fanout=2))
-        runner.run()
-        for aggregator in runner.aggregators:
-            total = sum(r.timing.total_time for r in aggregator.history)
-            assert total == pytest.approx(aggregator.clock.now(), rel=1e-9)
 
     def test_gossip_beats_isolation_on_accuracy(self):
         isolated = run_experiment(

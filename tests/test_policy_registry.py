@@ -149,6 +149,58 @@ class TestModeRoundTrips:
         for aggregator in result.aggregators:
             assert len(aggregator.history) == 2
 
+    def test_downstream_registered_mode_runs_end_to_end(self):
+        # A mode registered from outside the package runs through the same
+        # runner, config validation and contract as the built-ins.
+        from repro.sched.policies import RoundPolicy
+
+        class EveryOtherRoundPolicy(RoundPolicy):
+            """Free-running lanes that only collaborate on even rounds."""
+
+            mode = "every-other"
+
+            def install(self, kernel):
+                self._install_lanes(kernel)
+
+            def _activate_lane(self, lane):
+                round_number, aggregator = self._next_lane_round(lane)
+                self._update_active_cohort(round_number)
+                if round_number % 2 == 0:
+                    self._free_running_round(aggregator, round_number)
+                else:
+                    aggregator.record_round(round_number, aggregator.local_training_round())
+                if round_number < self.ctx.num_rounds:
+                    self._rearm_lane(lane, aggregator)
+
+            def finalize(self):
+                self._drain_scoring()
+
+        register_policy(PolicySpec(
+            name="every-other",
+            factory=lambda ctx, config: EveryOtherRoundPolicy(ctx),
+            description="test-only",
+            contract=ContractProfile(assigns_scorers_on_submit=True),
+        ))
+        try:
+            runner = ExperimentRunner(tiny_config("every-other", rounds=3))
+            result = runner.run()
+        finally:
+            unregister_policy("every-other")
+        assert "every-other" not in registered_modes()
+        assert result.mode == "every-other"
+        # Only round 2 of 3 submits: one model per cluster reaches the chain.
+        submissions = [
+            tx.sender
+            for block in runner.chain.blocks
+            for tx in block.transactions
+            if tx.method == "submitModel"
+        ]
+        assert sorted(submissions) == sorted(a.address for a in runner.aggregators)
+        for aggregator in runner.aggregators:
+            assert [r.round_number for r in aggregator.history] == [1, 2, 3]
+            total = sum(r.timing.total_time for r in aggregator.history)
+            assert total == pytest.approx(aggregator.clock.now(), rel=1e-9)
+
     def test_runner_and_cli_have_no_mode_ladder(self):
         # The DET004 linter rule is the reusable form of what used to be a
         # hand-rolled AST walk here: flagging literal mode comparisons

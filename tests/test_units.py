@@ -68,9 +68,9 @@ class TestBitIdentity:
 
 class TestDeprecationHygiene:
     def test_importing_the_tree_raises_no_deprecation_warnings(self):
-        # The alias shims (bandwidth_mbps and friends) must warn on *use*,
-        # never on import: CI runs this same guard so a future module-level
-        # alias read cannot slip in.
+        # Importing the tree must never warn: CI runs this same guard, so a
+        # deprecated shim (like the removed *_mbps aliases) warning at
+        # import time cannot slip back in.
         result = subprocess.run(
             [
                 sys.executable,
@@ -85,17 +85,3 @@ class TestDeprecationHygiene:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert result.returncode == 0, result.stderr
-
-    def test_alias_use_still_warns(self):
-        from repro.simnet.hardware import HardwareProfile
-
-        profile = HardwareProfile(
-            name="fixture",
-            samples_per_second=1000.0,
-            bandwidth_mbytes_per_s=94.0,
-            latency_s=0.01,
-            memory_mb=1024.0,
-            train_cpu_percent=50.0,
-        )
-        with pytest.warns(DeprecationWarning):
-            assert profile.bandwidth_mbps == 94.0  # detlint: ignore[UNIT003]
