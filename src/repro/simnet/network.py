@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from .faults import merge_windows
@@ -148,6 +147,10 @@ class ScheduledTransfer:
         return self.finished_at - self.requested_at
 
 
+#: the prefix-max of an endpoint without reservations: idle since time 0.
+_IDLE = (0.0,)
+
+
 class LinkScheduler:
     """Bounded-capacity endpoint contention over a :class:`NetworkModel`.
 
@@ -176,19 +179,21 @@ class LinkScheduler:
       commits return the cached plan, and a ``transfer`` that follows a
       preview with identical arguments commits the already-computed plan
       instead of re-planning (the single-pass plan-and-commit path).
-    * The saturation sweep of a capacity > 1 endpoint and the backlog index
-      behind :meth:`outstanding_backlog` are cached per endpoint behind a
-      dirty flag: only a commit *touching that endpoint* invalidates them,
-      so an estimate storm between commits pays one sweep, not one per call.
+    * Both per-endpoint queries are answered *locally* from sorted arrays
+      that ``_commit`` keeps up to date, so no commit ever triggers an
+      O(history) rebuild.  :meth:`outstanding_backlog` bisects into the
+      reservations and reads a running prefix-max of their end times; the
+      capacity > 1 saturation test counts the transfers active just before
+      the requested start with two bisects, then walks the sorted
+      boundaries forward only until a whole window fits between two
+      saturated regions.
     * ``total_queued_time`` / ``total_wire_time`` are running counters
       updated at commit time (accumulated in log order, so they stay
       bit-identical to summing the log), never O(log-length) scans.
-    * A commit whose reservation starts at or after everything already
-      committed on the endpoint (the common causal case) appends to the
-      timeline and cannot create a new saturated region, so the cached
-      sweep stays valid.
+    * A request at or after everything already committed on its endpoints
+      (the common causal case) starts immediately, without a bisect.
 
-    Every cache is an *acceleration* only: placements, queued-time and
+    Every shortcut is an *acceleration* only: placements, queued-time and
     totals are bit-identical to the naive from-scratch recomputation, which
     :class:`repro.simnet.reference.ReferenceLinkScheduler` keeps alive as
     the property-test oracle.
@@ -216,15 +221,11 @@ class LinkScheduler:
         self.epoch = 0
         self._queued_total = 0.0
         self._wire_total = 0.0
-        #: latest committed finish time per endpoint (0.0 when idle) — the
-        #: O(1) "is this placement past the whole timeline?" fast path.
-        self._max_end: Dict[str, float] = {}
-        #: merged saturated intervals per capacity>1 endpoint (dirty-flagged:
-        #: absent means recompute on next use).
-        self._saturated_cache: Dict[str, List[Tuple[float, float]]] = {}
-        #: per-endpoint ``(starts, suffix_durations, prefix_max_end)`` index
-        #: behind outstanding_backlog, same dirty-flag discipline.
-        self._backlog_cache: Dict[str, Tuple[List[float], List[float], List[float]]] = {}
+        #: running max of end times aligned with ``_busy``: entry ``i`` is the
+        #: latest end among the first ``i + 1`` reservations of the endpoint,
+        #: so the last entry answers "is this placement past the whole
+        #: timeline?" in O(1).
+        self._prefix_max_end: Dict[str, List[float]] = {}
         #: placement memo for the current epoch, keyed by
         #: ``(source, destination, num_bytes, at, floor)``.
         self._plan_cache: Dict[Tuple[str, str, int, float, float], ScheduledTransfer] = {}
@@ -353,9 +354,7 @@ class LinkScheduler:
             self._boundaries[endpoint] = boundaries
         else:
             self._boundaries.pop(endpoint, None)
-        # A capacity change redraws the endpoint's saturation picture and
-        # stales every memoized placement.
-        self._saturated_cache.pop(endpoint, None)
+        # A capacity change stales every memoized placement.
         self._plan_cache.clear()
         self.epoch += 1
 
@@ -371,30 +370,24 @@ class LinkScheduler:
         """Reserved seconds still scheduled at or after ``at`` on one endpoint.
 
         The load metric behind deterministic least-loaded replica selection.
-        Answered from a per-endpoint index — interval starts, suffix sums of
-        their durations, and a prefix-max of their ends — rebuilt only after
-        a commit touches the endpoint, so the per-round selection storm
-        bisects into the index instead of rescanning the reservation
-        history on every call.
+        A bisect finds the first reservation starting at or after ``at``;
+        only that tail and the earlier reservations still straddling ``at``
+        are visited, so the per-round selection storm never rescans the
+        reservation history.
         """
         intervals = self._busy.get(endpoint)
         if not intervals:
             return 0.0
-        index = self._backlog_cache.get(endpoint)
-        if index is None:
-            starts = [start for start, _ in intervals]
-            suffix = list(accumulate(end - start for start, end in reversed(intervals)))
-            suffix.reverse()
-            prefix_max_end = list(accumulate((end for _, end in intervals), max))
-            index = (starts, suffix, prefix_max_end)
-            self._backlog_cache[endpoint] = index
-        starts, suffix, prefix_max_end = index
-        first = bisect.bisect_left(starts, at)
-        # Intervals starting at or after ``at`` contribute their whole
-        # duration: one suffix-sum lookup.
-        total = suffix[first] if first < len(starts) else 0.0
+        first = bisect.bisect_left(intervals, (at,))
+        # Reservations starting at or after ``at`` contribute their whole
+        # duration, added newest-first: the same float additions, in the same
+        # order, as the reference's suffix sums.
+        total = 0.0
+        for start, end in reversed(intervals[first:]):
+            total += end - start
         # Earlier intervals may still straddle ``at``; walk them newest-first
         # and stop once the running max end falls behind ``at``.
+        prefix_max_end = self._prefix_max_end[endpoint]
         for i in range(first - 1, -1, -1):
             if prefix_max_end[i] <= at:
                 break
@@ -403,49 +396,11 @@ class LinkScheduler:
                 total += end - at
         return total
 
-    def _saturated_intervals(self, endpoint: str) -> List[Tuple[float, float]]:
-        """Maximal intervals where the endpoint is at capacity.
-
-        For a serial endpoint these are the raw reservations themselves
-        (capacity-1 placement stays bit-identical to the pre-capacity
-        scheduler).  For ``c > 1`` a sweep over the incrementally-maintained
-        reservation boundaries finds the regions with ``>= c`` concurrent
-        transfers — only those block a new reservation.  The sweep result is
-        cached per endpoint; commits that merely extend the timeline keep it
-        valid, anything else drops it.
-        """
-        intervals = self._busy.get(endpoint)
-        if not intervals:
-            return []
-        cap = self.capacity(endpoint)
-        if cap == 1:
-            return intervals
-        cached = self._saturated_cache.get(endpoint)
-        if cached is not None:
-            return cached
-        # Sorted with the -1 before the +1 at equal times: a reservation
-        # ending exactly when another starts never saturates the instant
-        # between them.
-        boundaries = self._boundaries[endpoint]
-        saturated: List[Tuple[float, float]] = []
-        active = 0
-        block_start: Optional[float] = None
-        for time, delta in boundaries:
-            active += delta
-            if active >= cap and block_start is None:
-                block_start = time
-            elif active < cap and block_start is not None:
-                if time > block_start:
-                    saturated.append((block_start, time))
-                block_start = None
-        self._saturated_cache[endpoint] = saturated
-        return saturated
-
     @staticmethod
     def _conflict_end(
-        intervals: List[Tuple[float, float]], start: float, duration: float
+        intervals: Optional[List[Tuple[float, float]]], start: float, stop: float
     ) -> Optional[float]:
-        """End of the first blocked interval overlapping ``[start, start+duration)``.
+        """End of the first blocked interval overlapping ``[start, stop)``.
 
         ``intervals`` are sorted (and non-overlapping for the serial case),
         so a bisect finds the first interval that could still be running at
@@ -456,9 +411,45 @@ class LinkScheduler:
         index = bisect.bisect_right(intervals, (start, float("inf")))
         if index and intervals[index - 1][1] > start:
             index -= 1
-        if index < len(intervals) and intervals[index][0] < start + duration:
+        if index < len(intervals) and intervals[index][0] < stop:
             return intervals[index][1]
         return None
+
+    def _blocked_until(self, endpoint: str, start: float, duration: float) -> Optional[float]:
+        """A later start that ``endpoint`` forces on a ``duration`` request at ``start``.
+
+        ``None`` means the endpoint has a slot at ``start`` already; every
+        time skipped before the returned one is blocked on this endpoint.
+        A serial endpoint is full exactly during its reservations (so
+        capacity-1 placement stays bit-identical to the pre-capacity
+        scheduler) and reports the end of the first one in the way.  For
+        ``c > 1`` the transfers active just before ``start`` are the
+        reservations begun minus the boundaries passed (two bisects); the
+        sorted boundaries are then applied one at a time from ``start`` on,
+        moving the candidate start to the end of each saturated region met,
+        until a whole window fits before the next region.  At equal times a
+        -1 sorts before a +1, so a reservation ending exactly when another
+        starts never saturates the instant between them.
+        """
+        intervals = self._busy.get(endpoint)
+        if not intervals:
+            return None
+        cap = self.capacity(endpoint)
+        if cap == 1:
+            return self._conflict_end(intervals, start, start + duration)
+        boundaries = self._boundaries[endpoint]
+        position = bisect.bisect_left(boundaries, (start, -1))
+        active = 2 * bisect.bisect_left(intervals, (start,)) - position
+        slot, stop = start, start + duration
+        for index in range(position, len(boundaries)):
+            time, delta = boundaries[index]
+            if active < cap:
+                if time >= stop:
+                    break
+            elif active + delta < cap:
+                slot, stop = time, time + duration
+            active += delta
+        return None if slot == start else slot
 
     def _earliest_start(
         self,
@@ -470,33 +461,31 @@ class LinkScheduler:
         """First time ``>= at`` where every endpoint has a slot for ``duration``.
 
         ``fault_windows`` are extra blocked intervals (outages/partitions on
-        the path); they disable the fast path because they can block a
-        request arbitrarily far past the committed timeline.
+        the path), checked after the endpoints; they disable the fast path
+        because they can block a request arbitrarily far past the committed
+        timeline.
         """
         # Fast path: a request at or past every committed reservation on
         # every endpoint cannot conflict with anything — it starts
-        # immediately, no sweep and no bisect.  This is the common causal
-        # case (simulated time mostly moves forward).
+        # immediately, no bisect.  This is the common causal case (simulated
+        # time mostly moves forward).
         if fault_windows is None and all(
-            at >= self._max_end.get(endpoint, 0.0) for endpoint in endpoints
+            at >= self._prefix_max_end.get(endpoint, _IDLE)[-1] for endpoint in endpoints
         ):
             return at
-        blocked = [self._saturated_intervals(endpoint) for endpoint in endpoints]
-        if fault_windows is not None:
-            blocked.append(fault_windows)
         start = at
-        moved = True
-        while moved:
-            moved = False
-            for intervals in blocked:
-                conflict_end = self._conflict_end(intervals, start, duration)
-                if conflict_end is not None:
-                    # Overlaps a saturated region: jump past it and re-check
-                    # every interval list from the new start.
-                    start = conflict_end
-                    moved = True
+        while True:
+            for endpoint in endpoints:
+                later = self._blocked_until(endpoint, start, duration)
+                if later is not None:
                     break
-        return start
+            else:
+                later = self._conflict_end(fault_windows, start, start + duration)
+                if later is None:
+                    return start
+            # Blocked on an endpoint or by a fault window: jump past it and
+            # re-check every endpoint from the new start.
+            start = later
 
     def _plan(
         self,
@@ -597,22 +586,25 @@ class LinkScheduler:
         """Reserve a planned transfer and refresh the incremental indexes."""
         interval = (scheduled.started_at, scheduled.finished_at)
         endpoints = {scheduled.source, scheduled.destination}
+        end = scheduled.finished_at
         for endpoint in endpoints:
-            bisect.insort(self._busy.setdefault(endpoint, []), interval)
+            busy = self._busy.setdefault(endpoint, [])
+            position = bisect.bisect_right(busy, interval)
+            busy.insert(position, interval)
+            # Raise the running max behind the new reservation only until an
+            # entry already reaches its end.
+            prefix_max_end = self._prefix_max_end.setdefault(endpoint, [])
+            prefix_max_end.insert(
+                position, max(prefix_max_end[position - 1], end) if position else end
+            )
+            for i in range(position + 1, len(prefix_max_end)):
+                if prefix_max_end[i] >= end:
+                    break
+                prefix_max_end[i] = end
             boundaries = self._boundaries.get(endpoint)
             if boundaries is not None:
                 bisect.insort(boundaries, (scheduled.started_at, 1))
-                bisect.insort(boundaries, (scheduled.finished_at, -1))
-            previous_end = self._max_end.get(endpoint, 0.0)
-            if scheduled.finished_at > previous_end:
-                self._max_end[endpoint] = scheduled.finished_at
-            # A reservation starting at or after everything already committed
-            # on the endpoint only extends the timeline — it cannot raise
-            # concurrency anywhere, so the cached saturation sweep survives.
-            # Anything placed into the existing schedule drops it.
-            if self.capacity(endpoint) > 1 and scheduled.started_at < previous_end:
-                self._saturated_cache.pop(endpoint, None)
-            self._backlog_cache.pop(endpoint, None)
+                bisect.insort(boundaries, (end, -1))
         self.log.append(scheduled)
         # Accumulated in log-append order, so the running totals stay
         # bit-identical to summing the log.

@@ -1,13 +1,15 @@
 """From-scratch reference scheduler: the oracle behind the fast one.
 
 :class:`ReferenceLinkScheduler` recomputes every placement query from the
-committed reservations alone — no saturation cache, no backlog index, no
-plan memo, no running totals, no tail fast path.  It is the pre-acceleration
-behaviour kept alive for two jobs:
+committed reservations and the declared faults alone: a full capacity sweep
+instead of the local saturation walk, suffix sums instead of the running
+prefix-max, fault windows re-merged from the raw outage and partition
+declarations, no plan memo, no running totals, no tail fast path.  It is the
+pre-acceleration behaviour kept alive for two jobs:
 
 * the property test (``tests/test_link_scheduler_equivalence.py``) drives
   randomized workloads through both schedulers and asserts bit-identical
-  placements and totals, so every cache in :class:`~repro.simnet.network.
+  placements and totals, so every shortcut in :class:`~repro.simnet.network.
   LinkScheduler` stays an acceleration rather than a semantic change;
 * the perf harness (``repro bench``) replays the same workload through both
   and reports the measured speedup, pinning the trajectory in
@@ -25,6 +27,7 @@ import bisect
 from itertools import accumulate
 from typing import List, Optional, Tuple
 
+from .faults import merge_windows
 from .network import LinkScheduler, ScheduledTransfer
 
 
@@ -50,7 +53,7 @@ class ReferenceLinkScheduler(LinkScheduler):
                 total += end - at
         return total
 
-    def _saturated_intervals(self, endpoint: str) -> List[Tuple[float, float]]:
+    def _saturated_regions(self, endpoint: str) -> List[Tuple[float, float]]:
         """The capacity sweep, rerun on every call."""
         intervals = self._busy.get(endpoint)
         if not intervals:
@@ -72,15 +75,32 @@ class ReferenceLinkScheduler(LinkScheduler):
                 block_start = None
         return saturated
 
-    def _earliest_start(self, endpoints: List[str], at: float, duration: float) -> float:
+    def _path_windows(self, source: str, destination: str) -> List[Tuple[float, float]]:
+        """The path's outage and partition windows, merged from the raw declarations."""
+        endpoints = [source] if source == destination else [source, destination]
+        windows = [window for endpoint in endpoints for window in self._outages.get(endpoint, [])]
+        site_a = self._sites.get(source, source)
+        site_b = self._sites.get(destination, destination)
+        if site_a != site_b:
+            windows += self._partitions.get(tuple(sorted((site_a, site_b))), [])
+        return merge_windows(windows)
+
+    def _earliest_start(
+        self,
+        endpoints: List[str],
+        at: float,
+        duration: float,
+        fault_windows: Optional[List[Tuple[float, float]]] = None,
+    ) -> float:
         """The jump loop without the past-the-timeline fast path."""
-        blocked = {endpoint: self._saturated_intervals(endpoint) for endpoint in endpoints}
+        blocked = [self._saturated_regions(endpoint) for endpoint in endpoints]
+        blocked.append(fault_windows or [])
         start = at
         moved = True
         while moved:
             moved = False
-            for endpoint in endpoints:
-                conflict_end = self._conflict_end(blocked[endpoint], start, duration)
+            for intervals in blocked:
+                conflict_end = self._conflict_end(intervals, start, start + duration)
                 if conflict_end is not None:
                     start = conflict_end
                     moved = True
@@ -99,7 +119,9 @@ class ReferenceLinkScheduler(LinkScheduler):
         duration = self.network.transfer_time(source, destination, num_bytes)
         endpoints = [source] if source == destination else [source, destination]
         floor = at if earliest_start is None else max(at, earliest_start)
-        start = self._earliest_start(endpoints, floor, duration)
+        start = self._earliest_start(
+            endpoints, floor, duration, self._path_windows(source, destination)
+        )
         return ScheduledTransfer(
             source=source,
             destination=destination,
